@@ -22,7 +22,6 @@ from .cmfield import (
 from .frobenius import (
     FrobeniusData,
     char_poly,
-    group_order,
     hasse_weil_check,
     twist_order,
 )
@@ -30,24 +29,23 @@ from .integerkit import Factorization, divisors, factorize, is_probable_prime
 from .primegen import (
     GenConfig,
     OmegaCertificate,
-    gen_omega_1,
-    gen_omega_23,
     make_certificate,
     negate,
     search_prime,
 )
 from .quartic import QuarticInt, char_poly_oracle, conj_complex, mul, norm_residual
 from .structure import (
+    Analysis,
     StructureCandidate,
     StructureReport,
-    admissible_ell,
+    analyze,
     enumerate_structures,
-    guaranteed_cyclic,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "Analysis",
     "Basis",
     "CMFieldParams",
     "FieldCase",
@@ -58,7 +56,7 @@ __all__ = [
     "QuarticInt",
     "StructureCandidate",
     "StructureReport",
-    "admissible_ell",
+    "analyze",
     "basis_convert",
     "char_poly",
     "char_poly_oracle",
@@ -67,10 +65,6 @@ __all__ = [
     "divisors",
     "enumerate_structures",
     "factorize",
-    "gen_omega_1",
-    "gen_omega_23",
-    "group_order",
-    "guaranteed_cyclic",
     "hasse_weil_check",
     "is_primitive",
     "is_probable_prime",

@@ -164,19 +164,22 @@ def compose(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> Mum
     s3 = c2
 
     u, rem = p_divmod(p_mul(u1, u2, p), p_mul(d, d, p), p)
-    assert rem == ()
+    if rem != ():
+        raise RuntimeError("d^2 does not divide u1*u2")
     num = p_add(
         p_add(p_mul(p_mul(s1, u1, p), v2, p), p_mul(p_mul(s2, u2, p), v1, p), p),
         p_mul(s3, p_add(p_mul(v1, v2, p), f, p), p),
         p,
     )
     vq, vrem = p_divmod(num, d, p)
-    assert vrem == ()
+    if vrem != ():
+        raise RuntimeError("d does not divide the composed v numerator")
     v = p_mod(vq, u, p)
 
     while len(u) > 3:
         u_next, r = p_divmod(p_sub(f, p_mul(v, v, p), p), u, p)
-        assert r == ()
+        if r != ():
+            raise RuntimeError("u does not divide f - v^2 during reduction")
         u_next = p_monic(u_next, p)
         v = p_mod(p_neg(v, p), u_next, p)
         u = u_next
@@ -248,7 +251,8 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
     elements = all_divisors(curve)
     N = len(elements)
     index = {d: i for i, d in enumerate(elements)}
-    assert len(index) == N
+    if len(index) != N:
+        raise RuntimeError("divisor enumeration produced duplicates")
 
     exponents_by_prime: dict[int, list[int]] = {}
     for q, _ in factorize(N).factors:
@@ -264,7 +268,8 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
         for j in range(1, len(sizes)):
             ratio, r = (N // sizes[j]) // (N // sizes[j - 1]), 0
             while ratio > 1:
-                assert ratio % q == 0
+                if ratio % q != 0:
+                    raise RuntimeError(f"image size ratio is not a power of {q}")
                 ratio //= q
                 r += 1
             counts.append(r)
@@ -286,7 +291,8 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
     prod = 1
     for d in factors:
         prod *= d
-    assert prod == N
+    if prod != N:
+        raise RuntimeError(f"invariant factors multiply to {prod}, not {N}")
     return N, factors
 
 

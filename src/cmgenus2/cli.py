@@ -10,7 +10,10 @@ Subcommands:
             by exhaustive Jacobian enumeration
 
 Exit codes: 0 success, 1 input or validation error, 2 computational
-failure (search exhausted, verification mismatch, oracle counterexample).
+failure (search exhausted, order not factored within budget, too many
+candidate structures, closed form disagreeing with its oracle,
+verification mismatch, oracle counterexample).  ``main`` maps exceptions
+to exit codes in one place.
 All big integers are printed as exact decimal strings in JSON mode.
 """
 
@@ -23,18 +26,18 @@ import sys
 from pathlib import Path
 
 from . import cantor, cmfield, frobenius, golden, structure
-from .cmfield import Basis, FieldError, NotPrimitive, ValidatedField
-from .integerkit import Factorization, factorize
+from .cmfield import Basis, ValidatedField
+from .integerkit import Factorization
 from .primegen import (
     CompositeP,
     GenConfig,
     InvalidOmega,
-    OmegaCertificate,
     SearchExhausted,
     make_certificate,
     negate,
     search_prime,
 )
+from .quartic import OracleMismatch
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -148,11 +151,7 @@ def field_view(field: ValidatedField, basis: Basis, raw_ab: tuple[int, int]) -> 
 
 
 def cmd_validate(args) -> int:
-    try:
-        field, basis, raw = read_config(args.config)
-    except (ConfigError, FieldError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    field, basis, raw = read_config(args.config)
     report = field_view(field, basis, raw)
     if not field.primitive:
         report["warnings"] = ["field is not primitive: its CM Jacobians are reducible"]
@@ -161,23 +160,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    try:
-        field, basis, raw = read_config(args.config)
-        cmfield.require_primitive(field)
-    except (ConfigError, FieldError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    field, basis, raw = read_config(args.config)
+    cmfield.require_primitive(field)
     cfg = GenConfig(
         target_bits=args.bits,
         seed=args.seed,
         max_iters=args.max_iter,
         coefficient_bound=args.coefficient_bound,
     )
-    try:
-        cert = search_prime(field, cfg)
-    except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    cert = search_prime(field, cfg)
     report = {
         "field": field_view(field, basis, raw),
         "omega_xi": list(cert.c),
@@ -201,78 +192,40 @@ def _parse_omega(text: str) -> tuple[int, int, int, int]:
     return c  # type: ignore[return-value]
 
 
-def analyze_certificate(
-    cert: OmegaCertificate,
-    check_oracle: bool = False,
-    trial_limit: int = 10**6,
-    rho_iters: int = 2_000_000,
-) -> dict:
-    """Everything downstream of a certificate, as a plain dict."""
-    fd = frobenius.char_poly(cert, check_oracle=check_oracle)
-    n_value = frobenius.group_order(fd)
-    n_fact = factorize(n_value, trial_limit=trial_limit, rho_iters=rho_iters)
-    if not n_fact.is_complete:
-        raise structure.IncompleteFactorization(
-            f"order {n_value} not fully factored within budget"
-        )
-    pm1_fact = factorize(cert.p - 1, trial_limit=trial_limit, rho_iters=rho_iters)
-    admissible = structure.admissible_ell(cert, n_fact, pm1_fact)
-    report = structure.enumerate_structures(cert, n_fact, pm1_fact, admissible)
-    return {
-        "omega_xi": list(cert.c),
-        "gcd_c3_c4": cert.gcd34,
-        "p": cert.p,
-        "p_bits": cert.p.bit_length(),
-        "p_minus_1": _factors_view(pm1_fact),
-        "frobenius_coeffs": list(fd.coeffs),
-        "N": n_value,
-        "twist_order": frobenius.twist_order(fd),
-        "N_factors": _factors_view(n_fact),
-        "hasse_weil_ok": frobenius.hasse_weil_check(n_value, cert.p),
-        "admissible_odd_primes": sorted(report.admissible_odd_primes),
-        "excluded_odd_primes": {q: list(r) for q, r in sorted(report.exclusions.items())},
-        "candidates": [list(c.as_tuple()) for c in report.candidates],
-        "guaranteed_cyclic": report.guaranteed_cyclic,
-        "warnings": list(report.warnings),
-    }
-
-
 def cmd_analyze(args) -> int:
-    try:
-        field, basis, raw = read_config(args.config)
-        c_input = _parse_omega(args.omega)
-        omega_basis = Basis(args.omega_basis)
-        c_xi = cmfield.basis_convert(c_input, omega_basis, Basis.XI, field.params)
-        cert = make_certificate(field, c_xi)
-    except (ConfigError, FieldError, InvalidOmega, CompositeP, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    field, basis, raw = read_config(args.config)
+    c_input = _parse_omega(args.omega)
+    omega_basis = Basis(args.omega_basis)
+    c_xi = cmfield.basis_convert(c_input, omega_basis, Basis.XI, field.params)
+    cert = make_certificate(field, c_xi)
     warnings = []
     if not field.primitive:
         warnings.append("field is not primitive: its CM Jacobians are reducible")
     if args.twist:
         cert = negate(cert)
         warnings.append("analyzing the quadratic twist (negated omega)")
-    try:
-        body = analyze_certificate(
-            cert,
-            check_oracle=args.check_oracle,
-            trial_limit=args.trial_limit,
-            rho_iters=args.rho_iters,
-        )
-    except structure.IncompleteFactorization as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except structure.CombinatorialBlowup as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
+    fd = frobenius.char_poly(cert, check_oracle=args.check_oracle)
+    an = structure.analyze(cert, fd.N, args.trial_limit, args.rho_iters)
     report = {
         "field": field_view(field, basis, raw),
         "omega_input": list(c_input),
         "omega_input_basis": omega_basis.value,
-        **body,
+        "omega_xi": list(cert.c),
+        "gcd_c3_c4": cert.gcd34,
+        "p": cert.p,
+        "p_bits": cert.p.bit_length(),
+        "p_minus_1": _factors_view(an.pm1_fact),
+        "frobenius_coeffs": list(fd.coeffs),
+        "N": fd.N,
+        "twist_order": frobenius.twist_order(fd),
+        "N_factors": _factors_view(an.n_fact),
+        "hasse_weil_ok": frobenius.hasse_weil_check(fd.N, cert.p),
+        "admissible_odd_primes": sorted(an.admissible_odd_primes),
+        "excluded_odd_primes": {q: list(r) for q, r in sorted(an.exclusions.items())},
+        "candidates": [list(c.as_tuple()) for c in an.structures.candidates],
+        "guaranteed_cyclic": an.structures.guaranteed_cyclic,
+        "warnings": warnings + list(an.structures.warnings),
     }
-    report["warnings"] = warnings + report["warnings"]
     _emit(report, args.json)
     return EXIT_OK
 
@@ -308,36 +261,26 @@ def _verify_example(ex: golden.ReferenceExample, corrupt: bool) -> list[dict]:
         return checks
 
     fd = frobenius.char_poly(cert, check_oracle=True)
-    derived = frobenius.group_order(fd)
-    twisted = frobenius.twist_order(fd)
-    if ex.published_order == derived:
+    if ex.published_order == fd.N:
         link = "primary"
-    elif ex.published_order == twisted:
+    elif ex.published_order == frobenius.twist_order(fd):
         link = "twist"
     else:
         link = "inconsistent"
     check("order link", link == ex.order_link, ex.order_link, link)
 
-    n_fact = factorize(ex.published_order, trial_limit=10**6, rho_iters=10**6)
-    check(
-        "published order factorization",
-        n_fact.is_complete and n_fact.factors == ex.order_factors,
-        ex.order_factors,
-        n_fact.factors,
-    )
+    cert_used = negate(cert) if link == "twist" else cert
+    an = structure.analyze(cert_used, ex.published_order)
+    check("published order factorization", an.n_fact.factors == ex.order_factors,
+          ex.order_factors, an.n_fact.factors)
     check("published order in Hasse-Weil range",
           frobenius.hasse_weil_check(ex.published_order, cert.p))
-
-    cert_used = negate(cert) if link == "twist" else cert
-    pm1_fact = factorize(cert.p - 1, trial_limit=10**6, rho_iters=10**6)
-    check("p - 1 fully factored", pm1_fact.is_complete)
-    admissible = structure.admissible_ell(cert_used, n_fact, pm1_fact)
-    report = structure.enumerate_structures(cert_used, n_fact, pm1_fact, admissible)
-    got = tuple(c.as_tuple() for c in report.candidates)
+    check("p - 1 fully factored", an.pm1_fact.is_complete)
+    got = tuple(c.as_tuple() for c in an.structures.candidates)
     check("structure candidates", got == ex.expected_candidates, ex.expected_candidates, got)
-    check("admissible odd primes empty", report.admissible_odd_primes == frozenset())
+    check("admissible odd primes empty", an.admissible_odd_primes == frozenset())
     for q, needles in ex.expected_exclusions.items():
-        reasons = " | ".join(report.exclusions.get(q, ()))
+        reasons = " | ".join(an.exclusions.get(q, ()))
         for needle in needles:
             check(f"exclusion of {q} mentions {needle!r}", needle in reasons,
                   needle, reasons)
@@ -370,11 +313,9 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     if not (5 <= args.pmax <= 61):
-        print("error: --pmax must be between 5 and 61", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--pmax must be between 5 and 61")
     if args.curves < 1:
-        print("error: --curves must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--curves must be >= 1")
     rng = random.Random(args.seed)
     results = []
     for _ in range(args.curves):
@@ -470,7 +411,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (SearchExhausted, structure.IncompleteFactorization,
+            structure.CombinatorialBlowup, OracleMismatch) as exc:
+        # checked first: IncompleteFactorization is also a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

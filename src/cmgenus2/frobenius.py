@@ -78,11 +78,6 @@ def char_poly(cert, check_oracle: bool = False) -> FrobeniusData:
     return fd
 
 
-def group_order(fd: FrobeniusData) -> int:
-    """N = P(1), the number of rational points on the Jacobian."""
-    return fd.N
-
-
 def twist_order(fd: FrobeniusData) -> int:
     """P(-1), the group order of the quadratic twist (Frobenius -omega)."""
     one, t3, t2, t1, t0 = fd.coeffs

@@ -40,14 +40,6 @@ DETERMINISTIC_LIMIT = _DETERMINISTIC_WITNESSES[-1][0]
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-class BudgetExceeded(Exception):
-    """Factoring budget ran out.  Carries the partial factorization."""
-
-    def __init__(self, partial: "Factorization"):
-        super().__init__(f"factoring budget exceeded, cofactor {partial.cofactor}")
-        self.partial = partial
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Factored form value = prod(p**e) * cofactor.
@@ -88,18 +80,15 @@ class Factorization:
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
 
-
-def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None) -> bool:
+def is_probable_prime(n: int, rounds: int = 24) -> bool:
     """Strong-pseudoprime test.
 
     Deterministic (exact) for n < 3.317e24 via fixed witness sets; above
     that, the fixed 13-prime base set plus ``rounds`` random witnesses,
-    for a composite escape probability <= 4**(-rounds).  ``rng`` supplies
-    the random witnesses; by default a generator seeded from n is used so
-    results are reproducible.
+    for a composite escape probability <= 4**(-rounds).  The random
+    witnesses come from a generator seeded from n, so results are
+    reproducible.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -132,8 +121,7 @@ def is_probable_prime(n: int, rounds: int = 24, rng: random.Random | None = None
 
     if not all(witness_passes(a) for a in _DETERMINISTIC_WITNESSES[-1][1]):
         return False
-    if rng is None:
-        rng = random.Random(n)
+    rng = random.Random(n)
     return all(witness_passes(rng.randrange(2, n - 1)) for _ in range(rounds))
 
 
@@ -176,19 +164,12 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int:
     return 0
 
 
-def factorize(
-    n: int,
-    trial_limit: int = 10**6,
-    rho_iters: int = 2_000_000,
-    strict: bool = False,
-    seed: int = 0,
-) -> Factorization:
+def factorize(n: int, trial_limit: int = 10**6, rho_iters: int = 2_000_000) -> Factorization:
     """Factor n >= 1 by trial division then Brent rho.
 
     Returns a complete factorization when every cofactor yields within
     budget, otherwise a partial one whose ``cofactor`` marks the surviving
-    composite.  With ``strict=True`` the partial case raises
-    BudgetExceeded instead (the exception carries the partial result).
+    composite.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -208,9 +189,8 @@ def factorize(
             found[d] = e
         d += 1 if d == 2 else 2
 
-    rng = random.Random((n << 16) ^ seed)
+    rng = random.Random(n << 16)
     pending = [m] if m > 1 else []
-    budget_hit = False
     composite_leftover = 1
     while pending:
         c = pending.pop()
@@ -223,17 +203,12 @@ def factorize(
             continue
         g = _brent_rho(c, rng, rho_iters)
         if g == 0:
-            budget_hit = True
             composite_leftover *= c
             continue
         pending.append(g)
         pending.append(c // g)
 
-    factors = tuple(sorted(found.items()))
-    result = Factorization(factors, composite_leftover)
-    if budget_hit and strict:
-        raise BudgetExceeded(result)
-    return result
+    return Factorization(tuple(sorted(found.items())), composite_leftover)
 
 
 def _extract(p: int, pending: list[int]) -> int:

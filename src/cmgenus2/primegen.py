@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .cmfield import FieldCase, ValidatedField
 from .integerkit import divisors, factorize, is_probable_prime
-from .quartic import QuarticInt, conj_complex, mul, norm_residual
+from .quartic import norm_residual
 
 
 class SearchExhausted(RuntimeError):
@@ -82,14 +82,13 @@ def odd_part(n: int) -> int:
     return n
 
 
-def make_certificate(
-    field: ValidatedField, c: tuple[int, int, int, int], rounds: int = 24
-) -> OmegaCertificate:
+def make_certificate(field: ValidatedField, c: tuple[int, int, int, int]) -> OmegaCertificate:
     """Validate coordinates into a certificate.
 
     Raises InvalidOmega when the norm has a nonzero xi-component or the
     pair (c3, c4) shares an odd factor, CompositeP when the norm is even
-    or fails the primality test.
+    or fails the primality test.  ``norm_residual`` has already confirmed
+    the closed-form norm by exact ring multiplication.
     """
     p, residual = norm_residual(c, field)
     if residual != 0:
@@ -97,11 +96,8 @@ def make_certificate(
     g34 = math.gcd(c[2], c[3])
     if odd_part(g34) != 1:
         raise InvalidOmega(f"gcd(c3, c4) = {g34} has a nontrivial odd part")
-    if p <= 2 or p % 2 == 0 or not is_probable_prime(p, rounds):
+    if p <= 2 or p % 2 == 0 or not is_probable_prime(p):
         raise CompositeP(f"norm {p} is not an odd prime")
-    # exact ring confirmation, independent of the closed forms
-    u = QuarticInt(*c)
-    assert mul(u, conj_complex(u), field).coords() == (p, 0, 0, 0)
     return OmegaCertificate(field, c, p, g34)
 
 
@@ -199,9 +195,14 @@ def _sample_pair(rng: random.Random, lo_bits: int, hi_bits: int) -> tuple[int, i
     return c3, c4
 
 
-def _search(field: ValidatedField, cfg: GenConfig, case1: bool) -> OmegaCertificate:
+def search_prime(field: ValidatedField, cfg: GenConfig) -> OmegaCertificate:
+    """Elementary-method search; deterministic for a fixed seed.
+
+    The divisor equation solved for each pair depends on the residue of D.
+    """
     rng = random.Random(cfg.seed)
     lo_bits, hi_bits = _pair_bit_range(field, cfg)
+    case1 = field.case is FieldCase.CASE1
     solver = solve_divisor_equation_1 if case1 else solve_divisor_equation_23
     tested = 0
     pair_cap = max(1000, 50 * cfg.max_iters)
@@ -227,24 +228,3 @@ def _search(field: ValidatedField, cfg: GenConfig, case1: bool) -> OmegaCertific
             if tested >= cfg.max_iters:
                 raise SearchExhausted(f"no prime after {tested} candidates")
     raise SearchExhausted(f"no candidate with {cfg.target_bits}-bit norm after {pair_cap} pairs")
-
-
-def gen_omega_23(field: ValidatedField, cfg: GenConfig) -> OmegaCertificate:
-    """Elementary-method search for D = 2, 3 (mod 4)."""
-    if field.case is not FieldCase.CASE23:
-        raise ValueError("field has D = 1 (mod 4); use gen_omega_1")
-    return _search(field, cfg, case1=False)
-
-
-def gen_omega_1(field: ValidatedField, cfg: GenConfig) -> OmegaCertificate:
-    """Elementary-method search for D = 1 (mod 4)."""
-    if field.case is not FieldCase.CASE1:
-        raise ValueError("field has D = 2, 3 (mod 4); use gen_omega_23")
-    return _search(field, cfg, case1=True)
-
-
-def search_prime(field: ValidatedField, cfg: GenConfig) -> OmegaCertificate:
-    """Dispatch on the residue of D; deterministic for a fixed seed."""
-    if field.case is FieldCase.CASE1:
-        return gen_omega_1(field, cfg)
-    return gen_omega_23(field, cfg)

@@ -17,6 +17,9 @@ candidates, but candidates are not certified realizable (that would
 require the curve itself).  The minimum n4 over all candidates is then a
 certified lower bound on the largest cyclic subgroup.
 
+``analyze`` is the whole path from a certificate and its group order:
+factor N and p - 1, filter the odd primes, enumerate the candidates.
+
 The power of two in n2 is constrained only by divisibility and
 n2 | p - 1; the odd-prime filter above does not apply to 2.
 """
@@ -24,10 +27,9 @@ n2 | p - 1; the odd-prime filter above does not apply to 2.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
-from .integerkit import Factorization
+from .integerkit import Factorization, factorize
 from .primegen import OmegaCertificate
 
 
@@ -57,11 +59,19 @@ class StructureCandidate:
 @dataclass(frozen=True)
 class StructureReport:
     candidates: tuple[StructureCandidate, ...]
-    admissible_odd_primes: frozenset[int]
-    Q: int
     guaranteed_cyclic: int
     warnings: tuple[str, ...] = ()
-    exclusions: dict[int, tuple[str, ...]] = dataclass_field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """What ``analyze`` derives from a certificate and a group order."""
+
+    n_fact: Factorization
+    pm1_fact: Factorization
+    admissible_odd_primes: frozenset[int]
+    exclusions: dict[int, tuple[str, ...]]
+    structures: StructureReport
 
 
 def admissible_odd_primes_from(
@@ -108,23 +118,6 @@ def admissible_odd_primes_from(
     return admissible, exclusions
 
 
-def admissible_ell(
-    cert: OmegaCertificate, n_fact: Factorization, pm1_fact: Factorization
-) -> set[int]:
-    """Odd primes not excluded from dividing n2, for this certificate."""
-    admissible, _ = admissible_odd_primes_from(
-        n_fact,
-        cert.p,
-        pm1_fact,
-        cert.field.Q,
-        cert.field.D,
-        cert.c[0],
-        cert.c[1],
-        cert.gcd34,
-    )
-    return admissible
-
-
 def exponent_chains(v: int, e2_cap: int) -> list[tuple[int, int, int, int]]:
     """Nondecreasing exponent 4-tuples summing to v with e2 <= e2_cap."""
     chains = []
@@ -139,50 +132,26 @@ def exponent_chains(v: int, e2_cap: int) -> list[tuple[int, int, int, int]]:
 
 
 def enumerate_structures(
-    cert: OmegaCertificate,
     n_fact: Factorization,
     pm1_fact: Factorization,
     admissible: set[int],
     cap: int = 10**6,
 ) -> StructureReport:
-    """All candidate tuples for this certificate's Jacobian order.
+    """All candidate tuples for a Jacobian of order ``n_fact``.
 
-    ``n_fact`` must be complete.  A partial ``pm1_fact`` restricts n2 to
-    its factored part and attaches a warning (an unfactored cofactor
-    cannot witness divisibility).
+    ``n_fact`` must be complete.  Odd primes outside ``admissible`` are
+    kept out of n2.  A partial ``pm1_fact`` restricts n2 to its factored
+    part and attaches a warning (an unfactored cofactor cannot witness
+    divisibility).
     """
-    _, exclusions = admissible_odd_primes_from(
-        n_fact, cert.p, pm1_fact, cert.field.Q, cert.field.D,
-        cert.c[0], cert.c[1], cert.gcd34,
-    )
+    if not n_fact.is_complete:
+        raise IncompleteFactorization("N has an unfactored cofactor")
     warnings: list[str] = []
     if not pm1_fact.is_complete:
         warnings.append(
             "p - 1 not fully factored; n2 restricted to the factored part "
             f"(composite cofactor {pm1_fact.cofactor})"
         )
-    candidates = _enumerate_from_factorization(n_fact, pm1_fact, admissible, cap)
-    guaranteed = min(c.n4 for c in candidates)
-    for c in candidates:
-        assert c.n4 % guaranteed == 0
-    return StructureReport(
-        candidates=candidates,
-        admissible_odd_primes=frozenset(admissible),
-        Q=cert.field.Q,
-        guaranteed_cyclic=guaranteed,
-        warnings=tuple(warnings),
-        exclusions=exclusions,
-    )
-
-
-def _enumerate_from_factorization(
-    n_fact: Factorization,
-    pm1_fact: Factorization,
-    admissible: set[int],
-    cap: int,
-) -> tuple[StructureCandidate, ...]:
-    if not n_fact.is_complete:
-        raise IncompleteFactorization("N has an unfactored cofactor")
     per_prime: list[list[tuple[int, int, int, int]]] = []
     total = 1
     for q, v in n_fact.factors:
@@ -202,9 +171,38 @@ def _enumerate_from_factorization(
             for i in range(4):
                 n[i] *= part[i]
         out.append(StructureCandidate(*n))
-    return tuple(sorted(out, key=StructureCandidate.as_tuple))
+    candidates = tuple(sorted(out, key=StructureCandidate.as_tuple))
+    guaranteed = min(c.n4 for c in candidates)
+    for c in candidates:
+        if c.n4 % guaranteed != 0:
+            raise RuntimeError(f"guaranteed cyclic order {guaranteed} does not divide {c.n4}")
+    return StructureReport(candidates, guaranteed, tuple(warnings))
 
 
-def guaranteed_cyclic(report: StructureReport) -> int:
-    """Order of a cyclic subgroup present in every admissible structure."""
-    return report.guaranteed_cyclic
+def analyze(
+    cert: OmegaCertificate,
+    N: int,
+    trial_limit: int = 10**6,
+    rho_iters: int = 2_000_000,
+) -> Analysis:
+    """The structure pipeline for a certificate whose Jacobian has order N.
+
+    Factors N and p - 1, filters the odd primes once, and enumerates the
+    candidate structures.  IncompleteFactorization when N does not factor
+    within the budget; a partial p - 1 only restricts n2 (with a warning).
+    """
+    n_fact = factorize(N, trial_limit=trial_limit, rho_iters=rho_iters)
+    if not n_fact.is_complete:
+        raise IncompleteFactorization(f"order {N} not fully factored within budget")
+    pm1_fact = factorize(cert.p - 1, trial_limit=trial_limit, rho_iters=rho_iters)
+    admissible, exclusions = admissible_odd_primes_from(
+        n_fact, cert.p, pm1_fact, cert.field.Q, cert.field.D,
+        cert.c[0], cert.c[1], cert.gcd34,
+    )
+    return Analysis(
+        n_fact=n_fact,
+        pm1_fact=pm1_fact,
+        admissible_odd_primes=frozenset(admissible),
+        exclusions=exclusions,
+        structures=enumerate_structures(n_fact, pm1_fact, admissible),
+    )

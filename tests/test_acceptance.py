@@ -16,7 +16,6 @@ from cmgenus2.cmfield import Basis, basis_convert, validate
 from cmgenus2.frobenius import (
     char_poly,
     closed_form_char_poly,
-    group_order,
     group_order_oracle,
     hasse_weil_check,
     twist_order,
@@ -33,11 +32,7 @@ from cmgenus2.primegen import (
     solve_divisor_equation_23,
 )
 from cmgenus2.quartic import QuarticInt, char_poly_oracle, conj_complex, mul, norm_residual
-from cmgenus2.structure import (
-    admissible_ell,
-    admissible_odd_primes_from,
-    enumerate_structures,
-)
+from cmgenus2.structure import admissible_odd_primes_from, analyze, enumerate_structures
 
 F2 = validate(2, 2, 1)
 F3 = validate(3, 5, 2)
@@ -97,23 +92,18 @@ def test_criterion_1_example1_golden():
     # the published 75-digit order is the order of the quadratic twist of
     # this element (the negated element, same prime); pinned as such
     assert twist_order(fd) == ex.published_order
-    assert group_order(fd) != ex.published_order
+    assert fd.N != ex.published_order
 
-    n_fact = factorize(ex.published_order)
-    assert n_fact.is_complete
-    assert n_fact.factors == (
+    an = analyze(negate(cert), ex.published_order)
+    assert an.n_fact.is_complete
+    assert an.n_fact.factors == (
         (2, 2), (7, 3), (17, 1), (23, 1), (4993, 1),
         (87556173808919520163329861675989739433243040373597074857097140343, 1),
     )
-    assert is_probable_prime(n_fact.factors[-1][0])
-
-    cert_twist = negate(cert)
-    pm1_fact = factorize(cert.p - 1)
-    assert pm1_fact.is_complete
-    admissible = admissible_ell(cert_twist, n_fact, pm1_fact)
-    assert admissible == set()
-    report = enumerate_structures(cert_twist, n_fact, pm1_fact, admissible)
-    got = tuple(c.as_tuple() for c in report.candidates)
+    assert is_probable_prime(an.n_fact.factors[-1][0])
+    assert an.pm1_fact.is_complete
+    assert an.admissible_odd_primes == frozenset()
+    got = tuple(c.as_tuple() for c in an.structures.candidates)
     N = ex.published_order
     assert got == ((1, 1, 1, N), (1, 1, 2, N // 2), (1, 1, 7, N // 7), (1, 1, 14, N // 14))
 
@@ -142,23 +132,19 @@ def test_criterion_2_example2_golden():
     # decisions ledger).  The inconsistency is pinned and the published
     # order is consumed as published data for the structure stages.
     fd = char_poly(cert, check_oracle=True)
-    assert group_order(fd) != ex.published_order
+    assert fd.N != ex.published_order
     assert twist_order(fd) != ex.published_order
 
-    n_fact = factorize(ex.published_order)
-    assert n_fact.is_complete
-    assert n_fact.factors == (
+    an = analyze(cert, ex.published_order)
+    assert an.n_fact.is_complete
+    assert an.n_fact.factors == (
         (2, 3), (7, 3), (71, 1),
         (1050217015557576630891205130257738047915611254140091, 1),
     )
-    assert is_probable_prime(n_fact.factors[-1][0])
-
-    pm1_fact = factorize(cert.p - 1)
-    assert pm1_fact.is_complete
-    admissible = admissible_ell(cert, n_fact, pm1_fact)
-    assert admissible == set()
-    report = enumerate_structures(cert, n_fact, pm1_fact, admissible)
-    got = tuple(c.as_tuple() for c in report.candidates)
+    assert is_probable_prime(an.n_fact.factors[-1][0])
+    assert an.pm1_fact.is_complete
+    assert an.admissible_odd_primes == frozenset()
+    got = tuple(c.as_tuple() for c in an.structures.candidates)
     N = ex.published_order
     assert got == (
         (1, 1, 1, N), (1, 1, 2, N // 2), (1, 1, 7, N // 7), (1, 1, 14, N // 14),
@@ -166,7 +152,7 @@ def test_criterion_2_example2_golden():
     )
     # 7 must be excluded from n2; both firing filters are recorded:
     # 7 does not divide p - 1, and c1 = 0 (mod 7) breaks the congruence
-    reasons = " | ".join(report.exclusions[7])
+    reasons = " | ".join(an.exclusions[7])
     assert "does not divide p - 1" in reasons
     assert "not (1, 0)" in reasons
 
@@ -227,7 +213,7 @@ def test_criterion_4_generation_soundness():
         assert abs(cert.p.bit_length() - bits) <= 2
         assert odd_part(cert.gcd34) == 1
         fd = char_poly(cert, check_oracle=True)
-        assert hasse_weil_check(group_order(fd), cert.p)
+        assert hasse_weil_check(fd.N, cert.p)
         good += 1
     elapsed = time.monotonic() - start
     assert good == 200
@@ -241,18 +227,14 @@ def test_criterion_5_toy_pipeline():
     assert cert.p == 71
     fd = char_poly(cert, check_oracle=True)
     assert list(fd.coeffs) == [1, -28, 330, -1988, 5041]
-    N = group_order(fd)
-    assert N == 3356
+    assert fd.N == 3356
 
-    n_fact = factorize(N)
-    pm1_fact = factorize(70)
-    admissible = admissible_ell(cert, n_fact, pm1_fact)
-    report = enumerate_structures(cert, n_fact, pm1_fact, admissible)
-    got = [c.as_tuple() for c in report.candidates]
+    an = analyze(cert, fd.N)
+    got = [c.as_tuple() for c in an.structures.candidates]
     assert got == [(1, 1, 1, 3356), (1, 1, 2, 1678)]
-    assert report.guaranteed_cyclic == 1678
+    assert an.structures.guaranteed_cyclic == 1678
     # independent brute force over all divisor 4-tuples of 3356
-    assert got == brute_force_structures(3356, 71, admissible)
+    assert got == brute_force_structures(3356, 71, an.admissible_odd_primes)
     _ok("criterion 5: PASS  toy pipeline exact (p=71, P, N=3356, candidates, "
         "guaranteed cyclic 1678) against brute force")
 
@@ -273,8 +255,7 @@ def test_criterion_6_enumeration_oracle_equivalence():
         admissible, _ = admissible_odd_primes_from(
             n_fact, p, pm1_fact, Q, D, c1, c2, gcd34
         )
-        cert = make_certificate(F2, (7, -1, 2, 1))
-        report = enumerate_structures(cert, n_fact, pm1_fact, admissible)
+        report = enumerate_structures(n_fact, pm1_fact, admissible)
         got = [c.as_tuple() for c in report.candidates]
         assert got == brute_force_structures(N, p, admissible), (N, p, admissible)
         checked += 1

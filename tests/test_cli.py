@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cmgenus2 import frobenius, golden
 from cmgenus2.cli import main
 
 
@@ -65,6 +66,15 @@ def test_validate_missing_key(tmp_path, capsys):
     cfg = tmp_path / "miss.cfg"
     cfg.write_text("D = 2\na = 2\n", encoding="utf-8")
     assert main(["validate", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate"], ["gen", "--bits", "24"], ["analyze", "--omega", "7,-1,2,1"]]
+)
+def test_missing_config_is_input_error(tmp_path, capsys, argv):
+    missing = str(tmp_path / "absent.cfg")
+    assert main([argv[0], missing, *argv[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_gen_deterministic(capsys, field2_cfg):
@@ -158,6 +168,38 @@ def test_gen_feeds_analyze(capsys, field2_cfg):
     assert analysis["p"] == gen_report["p"]
     assert analysis["hasse_weil_ok"] is True
     assert analysis["candidates"][0] == ["1", "1", "1", analysis["N"]]
+
+
+def test_analyze_twist_matches_golden_example_1(capsys, field2_cfg):
+    # analyze and verify share one pipeline: the twist of example 1 must
+    # reproduce the candidates that verify pins
+    ex = golden.EXAMPLE_1
+    omega = ",".join(str(x) for x in ex.omega_xi)
+    rc, report = run_json(capsys, ["analyze", field2_cfg, f"--omega={omega}", "--twist", "--json"])
+    assert rc == 0
+    N = ex.published_order
+    assert report["N"] == str(N)
+    got = tuple(tuple(int(x) for x in c) for c in report["candidates"])
+    assert got == ex.expected_candidates
+    assert report["guaranteed_cyclic"] == str(N // 14)
+
+
+def test_oracle_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
+    real = frobenius.char_poly_oracle
+
+    def perturbed(u, field):
+        coeffs = real(u, field)
+        coeffs[2] += 1
+        return coeffs
+
+    monkeypatch.setattr(frobenius, "char_poly_oracle", perturbed)
+    for argv in (["analyze", field2_cfg, "--omega", "7,-1,2,1", "--check-oracle"], ["verify"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
 
 
 def test_verify_passes(capsys):

@@ -3,13 +3,7 @@ import random
 
 import pytest
 
-from cmgenus2.integerkit import (
-    BudgetExceeded,
-    Factorization,
-    divisors,
-    factorize,
-    is_probable_prime,
-)
+from cmgenus2.integerkit import Factorization, divisors, factorize, is_probable_prime
 
 
 def sieve(limit: int) -> list[bool]:
@@ -103,9 +97,6 @@ def test_factorize_partial_is_marked():
     f = factorize(a * b, trial_limit=100, rho_iters=10)
     assert not f.is_complete
     assert f.cofactor == a * b
-    with pytest.raises(BudgetExceeded) as exc:
-        factorize(a * b, trial_limit=100, rho_iters=10, strict=True)
-    assert exc.value.partial.cofactor == a * b
 
 
 def test_factorization_validation():

@@ -11,8 +11,6 @@ from cmgenus2.primegen import (
     NoIntegralSolution,
     OmegaCertificate,
     SearchExhausted,
-    gen_omega_1,
-    gen_omega_23,
     make_certificate,
     negate,
     odd_part,
@@ -102,23 +100,16 @@ def test_solve_divisor_equation_1_reference():
 
 def test_gen_omega_23_produces_valid_certificates():
     for seed in range(10):
-        cert = gen_omega_23(F2, GenConfig(target_bits=24, seed=seed))
+        cert = search_prime(F2, GenConfig(target_bits=24, seed=seed))
         assert_certificate_invariants(cert)
         assert abs(cert.p.bit_length() - 24) <= 2
 
 
 def test_gen_omega_1_produces_valid_certificates():
     for seed in range(10):
-        cert = gen_omega_1(F5, GenConfig(target_bits=24, seed=seed))
+        cert = search_prime(F5, GenConfig(target_bits=24, seed=seed))
         assert_certificate_invariants(cert)
         assert abs(cert.p.bit_length() - 24) <= 2
-
-
-def test_gen_dispatch_guards():
-    with pytest.raises(ValueError):
-        gen_omega_23(F5, GenConfig(target_bits=16))
-    with pytest.raises(ValueError):
-        gen_omega_1(F2, GenConfig(target_bits=16))
 
 
 def test_search_prime_deterministic():

@@ -10,11 +10,10 @@ from cmgenus2.structure import (
     CombinatorialBlowup,
     IncompleteFactorization,
     StructureCandidate,
-    admissible_ell,
     admissible_odd_primes_from,
+    analyze,
     enumerate_structures,
     exponent_chains,
-    guaranteed_cyclic,
 )
 
 F2 = validate(2, 2, 1)
@@ -78,9 +77,10 @@ def test_exponent_chains_properties():
 
 
 def test_admissible_ell_toy():
-    n_fact = factorize(3356)  # 2^2 * 839: no odd prime cubed
-    pm1_fact = factorize(70)
-    assert admissible_ell(TOY, n_fact, pm1_fact) == set()
+    an = analyze(TOY, 3356)  # 2^2 * 839: no odd prime cubed
+    assert an.admissible_odd_primes == frozenset()
+    assert an.exclusions == {}
+    assert an.pm1_fact == factorize(70)
 
 
 def test_admissible_synthetic_filter():
@@ -120,19 +120,18 @@ def test_admissible_gcd_side_condition():
 def test_admissible_requires_complete_n():
     partial = Factorization(((2, 2),), cofactor=10**30 + 1)
     with pytest.raises(IncompleteFactorization):
-        admissible_ell(TOY, partial, factorize(70))
+        admissible_odd_primes_from(partial, 71, factorize(70), Q=2, D=2, c1=7, c2=-1, gcd34=1)
+    with pytest.raises(IncompleteFactorization):
+        enumerate_structures(partial, factorize(70), set())
 
 
 def test_enumerate_toy_matches_brute_force():
-    n_fact = factorize(3356)
-    pm1_fact = factorize(70)
-    adm = admissible_ell(TOY, n_fact, pm1_fact)
-    report = enumerate_structures(TOY, n_fact, pm1_fact, adm)
+    an = analyze(TOY, 3356)
+    report = an.structures
     got = [c.as_tuple() for c in report.candidates]
     assert got == [(1, 1, 1, 3356), (1, 1, 2, 1678)]
-    assert got == brute_force_structures(3356, 71, adm)
-    assert guaranteed_cyclic(report) == 1678
-    assert report.Q == 2
+    assert got == brute_force_structures(3356, 71, an.admissible_odd_primes)
+    assert report.guaranteed_cyclic == 1678
 
 
 def test_enumerate_always_contains_cyclic_tuple():
@@ -144,9 +143,8 @@ def test_enumerate_always_contains_cyclic_tuple():
         adm, _ = admissible_odd_primes_from(
             n_fact, p, factorize(p - 1), Q=50, D=2, c1=1, c2=0, gcd34=1
         )
-        report = enumerate_structures(TOY, n_fact, factorize(p - 1), adm)
+        report = enumerate_structures(n_fact, factorize(p - 1), adm)
         tuples = [c.as_tuple() for c in report.candidates]
-        # the cert's own N plays no role here: enumeration is driven by n_fact
         assert (1, 1, 1, N) in tuples
         assert all(t[3] % report.guaranteed_cyclic == 0 for t in tuples)
 
@@ -164,7 +162,7 @@ def test_enumerate_matches_brute_force_randomized():
         n_fact = factorize(N)
         pm1_fact = factorize(p - 1)
         adm, _ = admissible_odd_primes_from(n_fact, p, pm1_fact, Q, D, c1, c2, gcd34)
-        report = enumerate_structures(TOY, n_fact, pm1_fact, adm)
+        report = enumerate_structures(n_fact, pm1_fact, adm)
         got = [c.as_tuple() for c in report.candidates]
         assert got == brute_force_structures(N, p, adm), (N, p, adm)
 
@@ -174,7 +172,7 @@ def test_every_candidate_satisfies_invariants():
     p = 281  # p - 1 = 280 = 2^3 * 5 * 7
     pm1_fact = factorize(280)
     adm, _ = admissible_odd_primes_from(n_fact, p, pm1_fact, Q=10, D=2, c1=1, c2=0, gcd34=1)
-    report = enumerate_structures(TOY, n_fact, pm1_fact, adm)
+    report = enumerate_structures(n_fact, pm1_fact, adm)
     N = n_fact.value()
     for cand in report.candidates:
         n1, n2, n3, n4 = cand.as_tuple()
@@ -187,14 +185,14 @@ def test_every_candidate_satisfies_invariants():
 def test_combinatorial_cap():
     n_fact = factorize(2**40)
     with pytest.raises(CombinatorialBlowup):
-        enumerate_structures(TOY, n_fact, factorize(2**20), {2}, cap=10)
+        enumerate_structures(n_fact, factorize(2**20), {2}, cap=10)
 
 
 def test_partial_pm1_warns_and_restricts():
     n_fact = factorize(4 * 49)
     partial = Factorization(((2, 1),), cofactor=10**30 + 1)
     adm, _ = admissible_odd_primes_from(n_fact, 71, partial, Q=50, D=2, c1=1, c2=0, gcd34=1)
-    report = enumerate_structures(TOY, n_fact, partial, adm)
+    report = enumerate_structures(n_fact, partial, adm)
     assert any("not fully factored" in w for w in report.warnings)
     # e2 for prime 2 capped at the listed exponent 1
     assert all(c.n2 in (1, 2) for c in report.candidates)
