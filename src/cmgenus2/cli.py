@@ -9,7 +9,7 @@ Subcommands:
   oracle    sample tiny random curves and test the structural claims
             by exhaustive Jacobian enumeration
 
-Exit codes: 0 success, 1 input or validation error, 2 computational
+Exit codes: 0 success, 1 input, usage or validation error, 2 computational
 failure (search exhausted, order not factored within budget, too many
 candidate structures, closed form disagreeing with its oracle,
 verification mismatch, oracle counterexample).  ``main`` maps exceptions
@@ -162,12 +162,7 @@ def cmd_validate(args) -> int:
 def cmd_gen(args) -> int:
     field, basis, raw = read_config(args.config)
     cmfield.require_primitive(field)
-    cfg = GenConfig(
-        target_bits=args.bits,
-        seed=args.seed,
-        max_iters=args.max_iter,
-        coefficient_bound=args.coefficient_bound,
-    )
+    cfg = GenConfig(target_bits=args.bits, seed=args.seed, max_iters=args.max_iter)
     cert = search_prime(field, cfg)
     report = {
         "field": field_view(field, basis, raw),
@@ -224,7 +219,7 @@ def cmd_analyze(args) -> int:
         "excluded_odd_primes": {q: list(r) for q, r in sorted(an.exclusions.items())},
         "candidates": [list(c.as_tuple()) for c in an.structures.candidates],
         "guaranteed_cyclic": an.structures.guaranteed_cyclic,
-        "warnings": warnings + list(an.structures.warnings),
+        "warnings": warnings,
     }
     _emit(report, args.json)
     return EXIT_OK
@@ -357,8 +352,15 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so that ``main`` reports them as input errors."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cmgenus2",
         description="Genus-2 Jacobian parameter generation over quartic CM fields",
     )
@@ -374,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--bits", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--max-iter", type=int, default=10_000)
-    p_gen.add_argument("--coefficient-bound", type=int, default=0)
     p_gen.add_argument("--json", action="store_true")
     p_gen.set_defaults(func=cmd_gen)
 
@@ -408,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SearchExhausted, structure.IncompleteFactorization,
             structure.CombinatorialBlowup, OracleMismatch) as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cmfield import Basis, basis_convert, validate
-from .integerkit import factorize
+from .integerkit import Factorization, is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -104,19 +104,17 @@ def load_examples() -> tuple[ReferenceExample, ...]:
     """Return the reference data after structural self-checks.
 
     Asserts that the basis conversion reproduces the recorded xi-basis
-    coordinates and the recorded factorization reassembles the published
-    order, so a corrupted table cannot pass silently.
+    coordinates and the recorded factorization lists primes that
+    reassemble the published order, so a corrupted table cannot pass
+    silently.
     """
     for ex in EXAMPLES:
         field = validate(ex.D, ex.a, ex.b)
         converted = basis_convert(ex.omega_printed, ex.printed_basis, Basis.XI, field.params)
         if converted != ex.omega_xi:
             raise AssertionError(f"{ex.name}: basis conversion drifted: {converted}")
-        value = 1
-        for q, e in ex.order_factors:
-            value *= q**e
-        if value != ex.published_order:
+        if Factorization(ex.order_factors).value() != ex.published_order:
             raise AssertionError(f"{ex.name}: order factorization does not reassemble")
-        if factorize(ex.published_order, trial_limit=10**4).factors[:2] != ex.order_factors[:2]:
-            raise AssertionError(f"{ex.name}: small factors drifted")
+        if not all(is_probable_prime(q) for q, _ in ex.order_factors):
+            raise AssertionError(f"{ex.name}: order factorization lists a composite")
     return EXAMPLES

@@ -1,10 +1,10 @@
-"""Arbitrary-precision integer utilities: primality, factoring, divisors.
+"""Arbitrary-precision integer utilities: primality, factoring, valuations, divisors.
 
 Primality is strong-pseudoprime (Miller-Rabin) testing.  Below the
 verified threshold 3.3 * 10**24 a fixed deterministic witness schedule is
 used, so answers in that range are exact; above it the fixed witnesses are
-supplemented with caller-controlled random rounds and the composite error
-probability is at most 4**(-rounds).
+supplemented with 24 random rounds seeded from n, so the composite error
+probability is at most 4**(-24).
 
 Factoring is trial division up to a configurable bound followed by
 Pollard rho with Brent cycle detection.  This is deliberately cheap: the
@@ -39,6 +39,8 @@ DETERMINISTIC_LIMIT = _DETERMINISTIC_WITNESSES[-1][0]
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+_RANDOM_ROUNDS = 24
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -71,27 +73,15 @@ class Factorization:
             n *= p**e
         return n
 
-    def exponent(self, prime: int) -> int:
-        for p, e in self.factors:
-            if p == prime:
-                return e
-        return 0
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
-
-def is_probable_prime(n: int, rounds: int = 24) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Strong-pseudoprime test.
 
     Deterministic (exact) for n < 3.317e24 via fixed witness sets; above
-    that, the fixed 13-prime base set plus ``rounds`` random witnesses,
-    for a composite escape probability <= 4**(-rounds).  The random
-    witnesses come from a generator seeded from n, so results are
-    reproducible.
+    that, the fixed 13-prime base set plus 24 random witnesses, for a
+    composite escape probability <= 4**(-24).  The random witnesses come
+    from a generator seeded from n, so results are reproducible.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -122,7 +112,7 @@ def is_probable_prime(n: int, rounds: int = 24) -> bool:
     if not all(witness_passes(a) for a in _DETERMINISTIC_WITNESSES[-1][1]):
         return False
     rng = random.Random(n)
-    return all(witness_passes(rng.randrange(2, n - 1)) for _ in range(rounds))
+    return all(witness_passes(rng.randrange(2, n - 1)) for _ in range(_RANDOM_ROUNDS))
 
 
 def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int:
@@ -219,6 +209,17 @@ def _extract(p: int, pending: list[int]) -> int:
             c //= p
             e += 1
         pending[i] = c
+    return e
+
+
+def valuation(n: int, q: int) -> int:
+    """The exponent of the prime q in n != 0."""
+    if n == 0:
+        raise ValueError("valuation of 0 is unbounded")
+    e = 0
+    while n % q == 0:
+        n //= q
+        e += 1
     return e
 
 

@@ -17,8 +17,10 @@ candidates, but candidates are not certified realizable (that would
 require the curve itself).  The minimum n4 over all candidates is then a
 certified lower bound on the largest cyclic subgroup.
 
-``analyze`` is the whole path from a certificate and its group order:
-factor N and p - 1, filter the odd primes, enumerate the candidates.
+The filter and the enumeration read p - 1 only through ell | p - 1 and
+v_q(p - 1).  ``analyze`` is the whole path from a certificate and its
+group order: factor N, filter the odd primes, enumerate the candidates;
+it factors p - 1 for the report only.
 
 The power of two in n2 is constrained only by divisibility and
 n2 | p - 1; the odd-prime filter above does not apply to 2.
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .integerkit import Factorization, factorize
+from .integerkit import Factorization, factorize, valuation
 from .primegen import OmegaCertificate
 
 
@@ -60,7 +62,6 @@ class StructureCandidate:
 class StructureReport:
     candidates: tuple[StructureCandidate, ...]
     guaranteed_cyclic: int
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ class Analysis:
 def admissible_odd_primes_from(
     n_fact: Factorization,
     p: int,
-    pm1_fact: Factorization,
     Q: int,
     D: int,
     c1: int,
@@ -92,14 +92,13 @@ def admissible_odd_primes_from(
     """
     if not n_fact.is_complete:
         raise IncompleteFactorization("N has an unfactored cofactor")
-    pm1_primes = set(pm1_fact.primes())
     admissible: set[int] = set()
     exclusions: dict[int, tuple[str, ...]] = {}
     for ell, v in n_fact.factors:
         if ell == 2 or v < 3:
             continue
         reasons = []
-        if ell not in pm1_primes:
+        if (p - 1) % ell:
             reasons.append(f"{ell} does not divide p - 1")
         if ell == p:
             reasons.append(f"{ell} equals the field characteristic")
@@ -133,31 +132,22 @@ def exponent_chains(v: int, e2_cap: int) -> list[tuple[int, int, int, int]]:
 
 def enumerate_structures(
     n_fact: Factorization,
-    pm1_fact: Factorization,
+    p: int,
     admissible: set[int],
     cap: int = 10**6,
 ) -> StructureReport:
-    """All candidate tuples for a Jacobian of order ``n_fact``.
+    """All candidate tuples for a Jacobian of order ``n_fact`` over F_p.
 
-    ``n_fact`` must be complete.  Odd primes outside ``admissible`` are
-    kept out of n2.  A partial ``pm1_fact`` restricts n2 to its factored
-    part and attaches a warning (an unfactored cofactor cannot witness
-    divisibility).
+    ``n_fact`` must be complete.  The exponent of each prime q in n2 is
+    capped at v_q(p - 1); odd primes outside ``admissible`` are kept out
+    of n2.
     """
     if not n_fact.is_complete:
         raise IncompleteFactorization("N has an unfactored cofactor")
-    warnings: list[str] = []
-    if not pm1_fact.is_complete:
-        warnings.append(
-            "p - 1 not fully factored; n2 restricted to the factored part "
-            f"(composite cofactor {pm1_fact.cofactor})"
-        )
     per_prime: list[list[tuple[int, int, int, int]]] = []
     total = 1
     for q, v in n_fact.factors:
-        e2_cap = pm1_fact.exponent(q)
-        if q != 2 and q not in admissible:
-            e2_cap = 0
+        e2_cap = valuation(p - 1, q) if q == 2 or q in admissible else 0
         chains = exponent_chains(v, e2_cap)
         powers = [tuple(q**e for e in chain) for chain in chains]
         per_prime.append(powers)
@@ -176,7 +166,7 @@ def enumerate_structures(
     for c in candidates:
         if c.n4 % guaranteed != 0:
             raise RuntimeError(f"guaranteed cyclic order {guaranteed} does not divide {c.n4}")
-    return StructureReport(candidates, guaranteed, tuple(warnings))
+    return StructureReport(candidates, guaranteed)
 
 
 def analyze(
@@ -187,16 +177,17 @@ def analyze(
 ) -> Analysis:
     """The structure pipeline for a certificate whose Jacobian has order N.
 
-    Factors N and p - 1, filters the odd primes once, and enumerates the
-    candidate structures.  IncompleteFactorization when N does not factor
-    within the budget; a partial p - 1 only restricts n2 (with a warning).
+    Factors N, filters the odd primes once, and enumerates the candidate
+    structures.  IncompleteFactorization when N does not factor within the
+    budget.  p - 1 is factored for the report only; a partial result there
+    changes no candidate.
     """
     n_fact = factorize(N, trial_limit=trial_limit, rho_iters=rho_iters)
     if not n_fact.is_complete:
         raise IncompleteFactorization(f"order {N} not fully factored within budget")
     pm1_fact = factorize(cert.p - 1, trial_limit=trial_limit, rho_iters=rho_iters)
     admissible, exclusions = admissible_odd_primes_from(
-        n_fact, cert.p, pm1_fact, cert.field.Q, cert.field.D,
+        n_fact, cert.p, cert.field.Q, cert.field.D,
         cert.c[0], cert.c[1], cert.gcd34,
     )
     return Analysis(
@@ -204,5 +195,5 @@ def analyze(
         pm1_fact=pm1_fact,
         admissible_odd_primes=frozenset(admissible),
         exclusions=exclusions,
-        structures=enumerate_structures(n_fact, pm1_fact, admissible),
+        structures=enumerate_structures(n_fact, cert.p, admissible),
     )

@@ -251,11 +251,8 @@ def test_criterion_6_enumeration_oracle_equivalence():
         c2 = rng.randrange(-10**9, 10**9)
         gcd34 = rng.choice((1, 1, 2, 3, 5, 7))
         n_fact = factorize(N)
-        pm1_fact = factorize(p - 1)
-        admissible, _ = admissible_odd_primes_from(
-            n_fact, p, pm1_fact, Q, D, c1, c2, gcd34
-        )
-        report = enumerate_structures(n_fact, pm1_fact, admissible)
+        admissible, _ = admissible_odd_primes_from(n_fact, p, Q, D, c1, c2, gcd34)
+        report = enumerate_structures(n_fact, p, admissible)
         got = [c.as_tuple() for c in report.candidates]
         assert got == brute_force_structures(N, p, admissible), (N, p, admissible)
         checked += 1

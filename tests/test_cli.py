@@ -77,6 +77,26 @@ def test_missing_config_is_input_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv", [[], ["gen"], ["gen", "CFG", "--bits", "abc"], ["bogus"], ["oracle", "--pmax", "x"]]
+)
+def test_usage_error_is_input_error(capsys, field2_cfg, argv):
+    argv = [field2_cfg if a == "CFG" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cmgenus2")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["gen", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_gen_deterministic(capsys, field2_cfg):
     rc1, rep1 = run_json(capsys, ["gen", field2_cfg, "--bits", "24", "--seed", "9", "--json"])
     rc2, rep2 = run_json(capsys, ["gen", field2_cfg, "--bits", "24", "--seed", "9", "--json"])

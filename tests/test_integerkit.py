@@ -32,11 +32,6 @@ def test_large_reference_prime():
     assert is_probable_prime(r)
 
 
-def test_rounds_precondition():
-    with pytest.raises(ValueError):
-        is_probable_prime(97, rounds=0)
-
-
 def test_strong_pseudoprimes_are_caught():
     # smallest strong pseudoprime to bases 2,3,5,7
     assert 3215031751 == 151 * 751 * 28351

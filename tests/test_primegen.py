@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from cmgenus2.primegen import (
     InvalidOmega,
     NoIntegralSolution,
     OmegaCertificate,
+    TRIAL_WALL,
     SearchExhausted,
     make_certificate,
     negate,
@@ -98,6 +100,68 @@ def test_solve_divisor_equation_1_reference():
     assert norm_residual((-8, 2, 1, 1), F5) == (86, 0)
 
 
+def divisors_by_scan(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return {x for d in small for x in (d, n // d)}
+
+
+def rhs_23(field, c3, c4):
+    """n for the pair, or None when it fails the gcd or parity condition."""
+    if not pair_admissible_23(field, c3, c4):
+        return None
+    return (-2 * c3 * c4 * field.a - c3 * c3 * field.b - c4 * c4 * field.b * field.D) // 2
+
+
+def rhs_1(field, c3, c4):
+    """m for the pair, or None when its odd parts share a factor or 4 does not divide S8."""
+    if math.gcd(odd_part(c3), odd_part(c4)) != 1:
+        return None
+    a, b, D = field.a, field.b, field.D
+    s8 = 4 * c3 * c3 * b + 8 * c3 * c4 * (a + b) + c4 * c4 * (b * (D + 3) + 4 * a)
+    return None if s8 % 4 else -s8 // 4
+
+
+def brute_force_23(n):
+    return {(s * d, n // (s * d)) for d in divisors_by_scan(n) for s in (1, -1)}
+
+
+def brute_force_1(m):
+    return {((m // c2 - c2) // 2, c2)
+            for d in divisors_by_scan(m) for c2 in (d, -d) if (m // c2 - c2) % 2 == 0}
+
+
+def test_solvers_match_brute_force_randomized():
+    # below TRIAL_WALL**2 trial division factors the right side fully, so
+    # the solutions are exactly all divisor solutions; above it every
+    # returned pair still solves the equation, and none repeats
+    rng = random.Random(34)
+    case23 = (solve_divisor_equation_23, rhs_23, brute_force_23, lambda c1, c2: c1 * c2)
+    case1 = (solve_divisor_equation_1, rhs_1, brute_force_1, lambda c1, c2: c2 * (2 * c1 + c2))
+    cases = ((F2, *case23), (F3, *case23), (F5, *case1), (F13, *case1))
+    small = large = 0
+    for _ in range(600):
+        field, solve, rhs, brute, lhs = rng.choice(cases)
+        bits = rng.choice((10, 40))
+        c3, c4 = rng.randrange(-2**bits, 2**bits), rng.randrange(-2**bits, 2**bits)
+        value = rhs(field, c3, c4)
+        try:
+            sols = solve(field, c3, c4)
+        except NoIntegralSolution:
+            sols = []
+        assert len(sols) == len(set(sols)), (field.D, c3, c4)
+        if not value:  # failed precondition or degenerate pair
+            assert sols == []
+        elif abs(value) < TRIAL_WALL**2:
+            small += 1
+            assert set(sols) == brute(value), (field.D, c3, c4)
+        else:
+            large += 1
+            assert sols or solve is solve_divisor_equation_1  # c1 = 1 always solves case 2, 3
+            assert all(lhs(c1, c2) == value for c1, c2 in sols), (field.D, c3, c4)
+    assert small > 100 and large > 100
+
+
 def test_gen_omega_23_produces_valid_certificates():
     for seed in range(10):
         cert = search_prime(F2, GenConfig(target_bits=24, seed=seed))
@@ -127,8 +191,8 @@ def test_search_prime_frozen_certificates():
     # pins the reproducibility contract across releases; update only with
     # a deliberate generator change
     cert = search_prime(F2, GenConfig(target_bits=32, seed=2024))
-    assert cert.c == (-32233, -73, -2266, 2729)
-    assert cert.p == 1054300567
+    assert cert.c == (-94799, 1, 118, 201)
+    assert cert.p == 8987134727
     cert5 = search_prime(F5, GenConfig(target_bits=32, seed=2024))
     assert cert5.c == (-14999, 30020, -510, 188)
     assert cert5.p == 1127630233

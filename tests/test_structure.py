@@ -88,7 +88,7 @@ def test_admissible_synthetic_filter():
     N = 5**3 * 7
     p = 11  # p - 1 = 10 divisible by 5
     adm, excl = admissible_odd_primes_from(
-        factorize(N), p, factorize(p - 1), Q=13, D=3, c1=6, c2=10, gcd34=1
+        factorize(N), p, Q=13, D=3, c1=6, c2=10, gcd34=1
     )
     assert adm == {5}
     assert excl == {}
@@ -98,7 +98,7 @@ def test_admissible_exclusion_reasons():
     N = 7**3 * 4
     # 7 does not divide p-1 = 10, and c1 = 0 (mod 7)
     adm, excl = admissible_odd_primes_from(
-        factorize(N), 11, factorize(10), Q=176, D=5, c1=7, c2=0, gcd34=2
+        factorize(N), 11, Q=176, D=5, c1=7, c2=0, gcd34=2
     )
     assert adm == set()
     assert 7 in excl
@@ -112,7 +112,7 @@ def test_admissible_gcd_side_condition():
     N = 7**3 * 2
     p = 29  # 7 | 28
     adm, _ = admissible_odd_primes_from(
-        factorize(N), p, factorize(28), Q=2, D=2, c1=5, c2=3, gcd34=7
+        factorize(N), p, Q=2, D=2, c1=5, c2=3, gcd34=7
     )
     assert adm == {7}
 
@@ -120,9 +120,9 @@ def test_admissible_gcd_side_condition():
 def test_admissible_requires_complete_n():
     partial = Factorization(((2, 2),), cofactor=10**30 + 1)
     with pytest.raises(IncompleteFactorization):
-        admissible_odd_primes_from(partial, 71, factorize(70), Q=2, D=2, c1=7, c2=-1, gcd34=1)
+        admissible_odd_primes_from(partial, 71, Q=2, D=2, c1=7, c2=-1, gcd34=1)
     with pytest.raises(IncompleteFactorization):
-        enumerate_structures(partial, factorize(70), set())
+        enumerate_structures(partial, 71, set())
 
 
 def test_enumerate_toy_matches_brute_force():
@@ -140,10 +140,8 @@ def test_enumerate_always_contains_cyclic_tuple():
         N = rng.randrange(2, 10**5)
         p = 71
         n_fact = factorize(N)
-        adm, _ = admissible_odd_primes_from(
-            n_fact, p, factorize(p - 1), Q=50, D=2, c1=1, c2=0, gcd34=1
-        )
-        report = enumerate_structures(n_fact, factorize(p - 1), adm)
+        adm, _ = admissible_odd_primes_from(n_fact, p, Q=50, D=2, c1=1, c2=0, gcd34=1)
+        report = enumerate_structures(n_fact, p, adm)
         tuples = [c.as_tuple() for c in report.candidates]
         assert (1, 1, 1, N) in tuples
         assert all(t[3] % report.guaranteed_cyclic == 0 for t in tuples)
@@ -160,9 +158,8 @@ def test_enumerate_matches_brute_force_randomized():
         c2 = rng.randrange(-10**6, 10**6)
         gcd34 = rng.choice((1, 1, 1, 2, 3, 7))
         n_fact = factorize(N)
-        pm1_fact = factorize(p - 1)
-        adm, _ = admissible_odd_primes_from(n_fact, p, pm1_fact, Q, D, c1, c2, gcd34)
-        report = enumerate_structures(n_fact, pm1_fact, adm)
+        adm, _ = admissible_odd_primes_from(n_fact, p, Q, D, c1, c2, gcd34)
+        report = enumerate_structures(n_fact, p, adm)
         got = [c.as_tuple() for c in report.candidates]
         assert got == brute_force_structures(N, p, adm), (N, p, adm)
 
@@ -170,9 +167,8 @@ def test_enumerate_matches_brute_force_randomized():
 def test_every_candidate_satisfies_invariants():
     n_fact = factorize(2**3 * 7**3 * 5)
     p = 281  # p - 1 = 280 = 2^3 * 5 * 7
-    pm1_fact = factorize(280)
-    adm, _ = admissible_odd_primes_from(n_fact, p, pm1_fact, Q=10, D=2, c1=1, c2=0, gcd34=1)
-    report = enumerate_structures(n_fact, pm1_fact, adm)
+    adm, _ = admissible_odd_primes_from(n_fact, p, Q=10, D=2, c1=1, c2=0, gcd34=1)
+    report = enumerate_structures(n_fact, p, adm)
     N = n_fact.value()
     for cand in report.candidates:
         n1, n2, n3, n4 = cand.as_tuple()
@@ -185,17 +181,30 @@ def test_every_candidate_satisfies_invariants():
 def test_combinatorial_cap():
     n_fact = factorize(2**40)
     with pytest.raises(CombinatorialBlowup):
-        enumerate_structures(n_fact, factorize(2**20), {2}, cap=10)
+        enumerate_structures(n_fact, 2**20 + 1, {2}, cap=10)
 
 
-def test_partial_pm1_warns_and_restricts():
-    n_fact = factorize(4 * 49)
-    partial = Factorization(((2, 1),), cofactor=10**30 + 1)
-    adm, _ = admissible_odd_primes_from(n_fact, 71, partial, Q=50, D=2, c1=1, c2=0, gcd34=1)
-    report = enumerate_structures(n_fact, partial, adm)
-    assert any("not fully factored" in w for w in report.warnings)
-    # e2 for prime 2 capped at the listed exponent 1
-    assert all(c.n2 in (1, 2) for c in report.candidates)
+def test_prime_of_p_minus_1_beyond_trial_wall_stays_admissible():
+    # p = 2 * 10007 * 4000039 * 4000081 + 1 is prime; no trial wall below
+    # 10007 finds 10007 in p - 1, yet it divides p - 1 and must stay
+    # admissible (it divides gcd(c3, c4), so the bound Q does not apply)
+    ell = 10007
+    p = 2 * ell * 4000039 * 4000081 + 1
+    N = 4 * ell**3
+    adm, excl = admissible_odd_primes_from(factorize(N), p, Q=2, D=2, c1=5, c2=3, gcd34=ell)
+    assert adm == {ell} and excl == {}
+    report = enumerate_structures(factorize(N), p, adm)
+    got = [c.as_tuple() for c in report.candidates]
+    assert (1, ell, ell, 4 * ell) in got
+    assert got == brute_force_structures(N, p, adm)
+
+
+def test_partial_pm1_changes_no_candidate():
+    # a budget too small to factor p - 1 = 70 leaves 35 unfactored; the
+    # structures read v_q(p - 1) directly, so nothing changes
+    partial = analyze(TOY, 3356, trial_limit=2, rho_iters=0)
+    assert not partial.pm1_fact.is_complete
+    assert partial.structures == analyze(TOY, 3356).structures
 
 
 def test_structure_candidate_chain_validation():
