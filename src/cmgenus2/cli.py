@@ -200,7 +200,7 @@ def cmd_analyze(args) -> int:
         cert = negate(cert)
         warnings.append("analyzing the quadratic twist (negated omega)")
     fd = frobenius.char_poly(cert, check_oracle=args.check_oracle)
-    an = structure.analyze(cert, fd.N, args.trial_limit, args.rho_iters)
+    an = structure.analyze(cert, fd.N)
     report = {
         "field": field_view(field, basis, raw),
         "omega_input": list(c_input),
@@ -387,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="analyze the quadratic twist (negated omega)")
     p_an.add_argument("--check-oracle", action="store_true",
                       help="cross-check closed forms against exact matrix arithmetic")
-    p_an.add_argument("--trial-limit", type=int, default=10**6)
-    p_an.add_argument("--rho-iters", type=int, default=2_000_000)
     p_an.add_argument("--json", action="store_true")
     p_an.set_defaults(func=cmd_analyze)
 

@@ -6,11 +6,11 @@ used, so answers in that range are exact; above it the fixed witnesses are
 supplemented with 24 random rounds seeded from n, so the composite error
 probability is at most 4**(-24).
 
-Factoring is trial division up to a configurable bound followed by
-Pollard rho with Brent cycle detection.  This is deliberately cheap: the
-numbers this package meets are smooth times at most one large prime
-cofactor.  When the budget runs out the result carries the unfactored
-composite cofactor explicitly instead of failing silently.
+Factoring is trial division up to ``TRIAL_LIMIT`` followed by Pollard rho
+with Brent cycle detection for ``RHO_ITERS`` steps, a budget fixed here.
+It is deliberately cheap: the numbers this package meets are smooth times
+at most one large prime cofactor.  When the budget runs out the result
+carries the unfactored composite cofactor instead of failing silently.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ DETERMINISTIC_LIMIT = _DETERMINISTIC_WITNESSES[-1][0]
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _RANDOM_ROUNDS = 24
+
+# the factoring budget of ``factorize``, read at call time
+TRIAL_LIMIT = 10**6
+RHO_ITERS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -154,31 +158,35 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int:
     return 0
 
 
-def factorize(n: int, trial_limit: int = 10**6, rho_iters: int = 2_000_000) -> Factorization:
-    """Factor n >= 1 by trial division then Brent rho.
-
-    Returns a complete factorization when every cofactor yields within
-    budget, otherwise a partial one whose ``cofactor`` marks the surviving
-    composite.
-    """
+def trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The prime powers of n >= 1 found by trial division up to ``limit``,
+    ascending, and the rest: 1, a prime, or a composite with no prime
+    factor up to ``limit``."""
     if n < 1:
-        raise ValueError("factorize requires n >= 1")
-    found: dict[int, int] = {}
-    if n == 1:
-        return Factorization(())
-
+        raise ValueError("trial division requires n >= 1")
+    found = []
     m = n
-    # trial division; stop early once the remaining cofactor must be prime
     d = 2
-    while d <= trial_limit and d * d <= m:
+    while d <= limit and d * d <= m:
         if m % d == 0:
             e = 0
             while m % d == 0:
                 m //= d
                 e += 1
-            found[d] = e
+            found.append((d, e))
         d += 1 if d == 2 else 2
+    return tuple(found), m
 
+
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division to ``TRIAL_LIMIT``, then Brent rho.
+
+    Returns a complete factorization when every cofactor yields within
+    ``RHO_ITERS`` rho steps, otherwise a partial one whose ``cofactor``
+    marks the surviving composite.
+    """
+    small, m = trial_division(n, TRIAL_LIMIT)
+    found = dict(small)
     rng = random.Random(n << 16)
     pending = [m] if m > 1 else []
     composite_leftover = 1
@@ -186,12 +194,12 @@ def factorize(n: int, trial_limit: int = 10**6, rho_iters: int = 2_000_000) -> F
         c = pending.pop()
         if c == 1:
             continue
-        if c <= trial_limit * trial_limit or is_probable_prime(c):
+        if c <= TRIAL_LIMIT * TRIAL_LIMIT or is_probable_prime(c):
             # survivors have no factor below the trial wall, so anything
             # under its square is prime outright
             found[c] = found.get(c, 0) + _extract(c, pending)
             continue
-        g = _brent_rho(c, rng, rho_iters)
+        g = _brent_rho(c, rng, RHO_ITERS)
         if g == 0:
             composite_leftover *= c
             continue

@@ -169,23 +169,18 @@ def enumerate_structures(
     return StructureReport(candidates, guaranteed)
 
 
-def analyze(
-    cert: OmegaCertificate,
-    N: int,
-    trial_limit: int = 10**6,
-    rho_iters: int = 2_000_000,
-) -> Analysis:
+def analyze(cert: OmegaCertificate, N: int) -> Analysis:
     """The structure pipeline for a certificate whose Jacobian has order N.
 
     Factors N, filters the odd primes once, and enumerates the candidate
     structures.  IncompleteFactorization when N does not factor within the
-    budget.  p - 1 is factored for the report only; a partial result there
-    changes no candidate.
+    budget of ``factorize``.  p - 1 is factored for the report only; a
+    partial result there changes no candidate.
     """
-    n_fact = factorize(N, trial_limit=trial_limit, rho_iters=rho_iters)
+    n_fact = factorize(N)
     if not n_fact.is_complete:
         raise IncompleteFactorization(f"order {N} not fully factored within budget")
-    pm1_fact = factorize(cert.p - 1, trial_limit=trial_limit, rho_iters=rho_iters)
+    pm1_fact = factorize(cert.p - 1)
     admissible, exclusions = admissible_odd_primes_from(
         n_fact, cert.p, cert.field.Q, cert.field.D,
         cert.c[0], cert.c[1], cert.gcd34,

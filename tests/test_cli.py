@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cmgenus2 import frobenius, golden
+from cmgenus2 import frobenius, golden, integerkit, primegen
 from cmgenus2.cli import main
 
 
@@ -117,6 +117,22 @@ def test_gen_exhaustion_exit_code(capsys, field2_cfg):
     assert rc == 2
 
 
+def test_gen_solver_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
+    # c1 + 1 leaves xi-component 2*c2 != 0: the search's ring check must
+    # report it as a computational failure, not a traceback
+    real = primegen.solve_divisor_equation_23
+
+    def off_by_one(field, c3, c4):
+        return [(c1 + 1, c2) for c1, c2 in real(field, c3, c4)]
+
+    monkeypatch.setattr(primegen, "solve_divisor_equation_23", off_by_one)
+    assert main(["gen", field2_cfg, "--bits", "24", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_analyze_toy(capsys, field2_cfg):
     rc, report = run_json(
         capsys, ["analyze", field2_cfg, "--omega", "7,-1,2,1", "--check-oracle", "--json"]
@@ -151,13 +167,14 @@ def test_analyze_sqrtd_omega(capsys, field5_cfg):
     assert report["gcd_c3_c4"] == "2"
 
 
-def test_analyze_unfactorable_order_is_explicit(capsys, field5_cfg):
+def test_analyze_unfactorable_order_is_explicit(capsys, monkeypatch, field5_cfg):
     # the derived order of this element contains a hard semiprime; a tiny
     # factoring budget must fail loudly, not silently
+    monkeypatch.setattr(integerkit, "RHO_ITERS", 1000)
     rc = main(
         ["analyze", field5_cfg,
          "--omega=-119599766860084,5279155,13860963299,4898901569",
-         "--omega-basis", "sqrtD", "--rho-iters", "1000"],
+         "--omega-basis", "sqrtD"],
     )
     assert rc == 2
     assert "not fully factored" in capsys.readouterr().err

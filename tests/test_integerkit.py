@@ -3,7 +3,14 @@ import random
 
 import pytest
 
-from cmgenus2.integerkit import Factorization, divisors, factorize, is_probable_prime
+from cmgenus2 import integerkit
+from cmgenus2.integerkit import (
+    Factorization,
+    divisors,
+    factorize,
+    is_probable_prime,
+    trial_division,
+)
 
 
 def sieve(limit: int) -> list[bool]:
@@ -71,27 +78,56 @@ def test_factorize_unit():
     assert f.value() == 1
 
 
-def test_factorize_reassembles_random_values():
+def test_factorize_reassembles_random_values(monkeypatch):
     # 10^4 values spread over widths up to 2^128; partial results must
     # still reassemble through their cofactor
+    monkeypatch.setattr(integerkit, "TRIAL_LIMIT", 3_000)
+    monkeypatch.setattr(integerkit, "RHO_ITERS", 2_000)
     rng = random.Random(1)
     for _ in range(10_000):
         bits = rng.choice((32, 48, 64, 96, 128))
         n = rng.randrange(1, 1 << bits)
-        f = factorize(n, trial_limit=3_000, rho_iters=2_000)
+        f = factorize(n)
         assert f.value() == n
         for p, e in f.factors:
             assert e >= 1
             assert is_probable_prime(p)
 
 
-def test_factorize_partial_is_marked():
+def test_factorize_partial_is_marked(monkeypatch):
     # two 16-digit primes; rho with a tiny budget cannot split the product
+    monkeypatch.setattr(integerkit, "TRIAL_LIMIT", 100)
+    monkeypatch.setattr(integerkit, "RHO_ITERS", 10)
     a = 1000000000000037
     b = 1000000000000091
-    f = factorize(a * b, trial_limit=100, rho_iters=10)
+    f = factorize(a * b)
     assert not f.is_complete
     assert f.cofactor == a * b
+
+
+def test_trial_division_unit():
+    assert trial_division(1, 100) == ((), 1)
+
+
+def test_trial_division_smooth():
+    assert trial_division(2**5 * 3**2 * 5 * 7**2, 100) == (((2, 5), (3, 2), (5, 1), (7, 2)), 1)
+
+
+def test_trial_division_prime_rest():
+    # 839 is prime: the scan stops once d * d exceeds the rest, below the limit
+    assert trial_division(4 * 839, 100) == (((2, 2),), 839)
+    assert trial_division(4 * 839, 10**6) == (((2, 2),), 839)
+
+
+def test_trial_division_composite_rest():
+    # both primes of the rest lie above the limit
+    a, b = 1009, 1013
+    assert trial_division(2 * 7**3 * a * b, 1000) == (((2, 1), (7, 3)), a * b)
+
+
+def test_trial_division_rejects_zero():
+    with pytest.raises(ValueError):
+        trial_division(0, 100)
 
 
 def test_factorization_validation():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cmgenus2 import integerkit
 from cmgenus2.cmfield import validate
 from cmgenus2.integerkit import Factorization, divisors, factorize
 from cmgenus2.primegen import make_certificate
@@ -199,12 +200,15 @@ def test_prime_of_p_minus_1_beyond_trial_wall_stays_admissible():
     assert got == brute_force_structures(N, p, adm)
 
 
-def test_partial_pm1_changes_no_candidate():
+def test_partial_pm1_changes_no_candidate(monkeypatch):
     # a budget too small to factor p - 1 = 70 leaves 35 unfactored; the
     # structures read v_q(p - 1) directly, so nothing changes
-    partial = analyze(TOY, 3356, trial_limit=2, rho_iters=0)
+    full = analyze(TOY, 3356)
+    monkeypatch.setattr(integerkit, "TRIAL_LIMIT", 2)
+    monkeypatch.setattr(integerkit, "RHO_ITERS", 0)
+    partial = analyze(TOY, 3356)
     assert not partial.pm1_fact.is_complete
-    assert partial.structures == analyze(TOY, 3356).structures
+    assert partial.structures == full.structures
 
 
 def test_structure_candidate_chain_validation():
