@@ -14,13 +14,13 @@ resulting rational norm for primality:
       (mod 2).  Every accepted solution is re-verified by exact ring
       multiplication; the closed forms never get the final word.
 
-The divisors tried are those of the part of n (or m) that trial division
-up to ``TRIAL_WALL`` finds plus their complements |n|/d: all of them when
-at most one prime of n lies above the wall.  They are tried in seeded
-pseudo-random order (both signs), and the divisors of one pair are
-exhausted before the next pair is sampled, so a fixed (field, config)
-always reproduces the same certificate.  Shared odd factors of (c3, c4)
-are never emitted; shared powers of two are allowed.
+The right side n (or m) is factored by trial division up to
+``TRIAL_WALL`` and Brent rho with ``RHO_BUDGET`` steps; a pair whose
+right side is not fully factored within that budget is resampled.
+Divisors are tried in seeded pseudo-random order (both signs), and the
+divisors of one pair are exhausted before the next pair is sampled, so a
+fixed (field, config) always reproduces the same certificate.  Shared odd
+factors of (c3, c4) are never emitted; shared powers of two are allowed.
 """
 
 from __future__ import annotations
@@ -30,11 +30,13 @@ import random
 from dataclasses import dataclass
 
 from .cmfield import FieldCase, ValidatedField
-from .integerkit import Factorization, divisors, is_probable_prime, trial_division
+from .integerkit import divisors, factorize, is_probable_prime
 from .quartic import OracleMismatch, norm_residual
 
 
-TRIAL_WALL = 10**4  # trial-division bound on the divisor-equation right side
+# factoring budget for the divisor-equation right side
+TRIAL_WALL = 10**4
+RHO_BUDGET = 200_000
 
 
 class SearchExhausted(RuntimeError):
@@ -120,20 +122,19 @@ def pair_admissible_23(field: ValidatedField, c3: int, c4: int) -> bool:
 
 
 def _right_side_divisors(n: int) -> list[int]:
-    """Divisors d of the trial-division part of |n| and their complements |n|/d, ascending.
-
-    All divisors of |n| when at most one prime of n lies above ``TRIAL_WALL``.
-    """
-    n = abs(n)
-    smooth = divisors(Factorization(trial_division(n, TRIAL_WALL)[0]))
-    return sorted(set(smooth).union(n // d for d in smooth))
+    """All divisors of |n|, ascending; NoIntegralSolution when |n| is not
+    fully factored within the budget."""
+    fact = factorize(abs(n), trial_limit=TRIAL_WALL, rho_iters=RHO_BUDGET)
+    if not fact.is_complete:
+        raise NoIntegralSolution(f"could not factor {n} within budget")
+    return divisors(fact)
 
 
 def solve_divisor_equation_23(field: ValidatedField, c3: int, c4: int) -> list[tuple[int, int]]:
-    """Pairs (c1, c2) with c1*c2 = n, c1 = +-d for the divisors d of n tried.
+    """All (c1, c2) with c1*c2 = n for the pair, in deterministic order.
 
-    Raises NoIntegralSolution when the pair fails the parity condition or
-    n is zero.
+    Raises NoIntegralSolution when the pair fails the parity condition,
+    n is zero, or n cannot be factored within budget.
     """
     if not pair_admissible_23(field, c3, c4):
         raise NoIntegralSolution(f"pair ({c3}, {c4}) fails gcd or parity")
@@ -149,11 +150,11 @@ def solve_divisor_equation_23(field: ValidatedField, c3: int, c4: int) -> list[t
 
 
 def solve_divisor_equation_1(field: ValidatedField, c3: int, c4: int) -> list[tuple[int, int]]:
-    """Pairs (c1, c2) with c2*(2*c1 + c2) = m, c2 = +-d for the divisors d of m tried.
+    """All (c1, c2) with c2*(2*c1 + c2) = m for the pair.
 
     The odd parts of c3 and c4 must be coprime.  Raises NoIntegralSolution
-    when 4 does not divide S8, m is zero, or no divisor tried has the
-    parity that makes c1 integral.
+    when 4 does not divide S8, no divisor of m has the parity that makes
+    c1 integral, m is zero, or factoring fails within budget.
     """
     if math.gcd(odd_part(c3), odd_part(c4)) != 1:
         raise NoIntegralSolution(f"pair ({c3}, {c4}) shares an odd factor")
@@ -172,7 +173,7 @@ def solve_divisor_equation_1(field: ValidatedField, c3: int, c4: int) -> list[tu
                 continue
             out.append(((q - c2) // 2, c2))
     if not out:
-        raise NoIntegralSolution(f"every divisor pair of m = {m} tried has mixed parity")
+        raise NoIntegralSolution(f"every divisor pair of m = {m} has mixed parity")
     return out
 
 
@@ -181,8 +182,9 @@ def _pair_bit_range(field: ValidatedField, cfg: GenConfig) -> tuple[int, int]:
 
     Pairs near (target - scale)/2 bits reach the target through balanced
     divisor splits c1 ~ c2 ~ sqrt(n); pairs near a quarter of the target
-    reach it through lopsided splits (c2 a small divisor, c1 ~ n).
-    Sampling the whole range covers both regimes.
+    reach it through lopsided splits (c2 a small divisor, c1 ~ n), whose
+    n is half as long and therefore much easier to factor.  Sampling the
+    whole range covers both regimes.
     """
     scale = (field.a * (1 + field.D)).bit_length()
     hi = max(2, (cfg.target_bits - scale) // 2)

