@@ -17,6 +17,7 @@ explicit allowlist of D values.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -70,10 +71,11 @@ class CMFieldParams:
     D: int
     a: int
     b: int
+    # derived from D once per field; the ring arithmetic reads it per product
+    case: FieldCase = dataclasses.field(init=False, repr=False, compare=False)
 
-    @property
-    def case(self) -> FieldCase:
-        return FieldCase.CASE1 if self.D % 4 == 1 else FieldCase.CASE23
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "case", FieldCase.CASE1 if self.D % 4 == 1 else FieldCase.CASE23)
 
     def radicand_norm(self) -> int:
         """Norm of a + b*xi from K0 down to Q (an integer in both cases)."""
@@ -87,6 +89,10 @@ class ValidatedField:
     params: CMFieldParams
     Q: int
     primitive: bool
+    case: FieldCase = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "case", self.params.case)
 
     @property
     def D(self) -> int:
@@ -99,10 +105,6 @@ class ValidatedField:
     @property
     def b(self) -> int:
         return self.params.b
-
-    @property
-    def case(self) -> FieldCase:
-        return self.params.case
 
 
 def _is_square(n: int) -> bool:

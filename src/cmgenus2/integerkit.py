@@ -6,8 +6,9 @@ used, so answers in that range are exact; above it the fixed witnesses are
 supplemented with 24 random rounds seeded from n, so the composite error
 probability is at most 4**(-24).
 
-Factoring is trial division followed by Pollard rho with Brent cycle
-detection, by default up to ``TRIAL_LIMIT`` and for ``RHO_ITERS`` steps.
+Factoring is trial division over a cached table of small primes followed
+by Pollard rho with Brent cycle detection, by default up to ``TRIAL_LIMIT``
+and for ``RHO_ITERS`` steps.
 It is deliberately cheap: the numbers this package meets are smooth times
 at most one large prime cofactor.  When the budget runs out the result
 carries the unfactored composite cofactor instead of failing silently.
@@ -17,7 +18,9 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 # Strong-pseudoprime witness schedule.  Each entry (bound, witnesses) is a
 # proven-deterministic set for n < bound; the last entry covers n up to
@@ -44,6 +47,11 @@ _RANDOM_ROUNDS = 24
 # the default factoring budget of ``factorize``, read at call time
 TRIAL_LIMIT = 10**6
 RHO_ITERS = 2_000_000
+
+# (bound, every prime up to bound ascending): sieved on first need and
+# replaced only by a longer table, as one tuple so that no thread pairs a
+# table with another table's bound
+_prime_table: tuple[int, array] = (0, array("I"))
 
 
 @dataclass(frozen=True)
@@ -142,7 +150,7 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             spent += r
@@ -151,30 +159,63 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g
         # cycle degenerated, retry with a new polynomial
     return 0
 
 
+def _primes_up_to(bound: int) -> array:
+    """A table of the primes, ascending, holding every prime up to ``bound``.
+
+    The table is sieved (odd numbers only) on the first call that needs
+    more than it holds and kept for later calls, so it may run past
+    ``bound``.
+    """
+    global _prime_table
+    sieved, table = _prime_table
+    if bound > sieved:
+        size = (bound - 1) // 2  # flags[i] stands for 2*i + 3
+        flags = bytearray([1]) * size
+        for i in range((math.isqrt(bound) - 1) // 2):
+            if flags[i]:
+                p = 2 * i + 3
+                start = (p * p - 3) // 2
+                flags[start::p] = bytes(len(range(start, size, p)))
+        table = array("I", [2] if bound >= 2 else [])
+        table.extend(compress(range(3, bound + 1, 2), flags))
+        if bound > _prime_table[0]:
+            _prime_table = (bound, table)
+    return table
+
+
 def trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """The prime powers of n >= 1 found by trial division up to ``limit``,
     ascending, and the rest: 1, a prime, or a composite with no prime
-    factor up to ``limit``."""
+    factor up to ``limit``.
+
+    Only primes are tried, and the scan stops at the first prime above
+    ``limit`` or above the square root of the rest.  The prime table is
+    sized from isqrt(n), rounded up to a power of two and capped at
+    ``limit``, so small n never sieve far.
+    """
     if n < 1:
         raise ValueError("trial division requires n >= 1")
+    root = math.isqrt(n)
     found = []
     m = n
-    d = 2
-    while d <= limit and d * d <= m:
-        if m % d == 0:
+    top = min(limit, root)
+    for p in _primes_up_to(min(limit, 1 << (root - 1).bit_length())):
+        if p > top:
+            break
+        if m % p == 0:
             e = 0
-            while m % d == 0:
-                m //= d
+            while m % p == 0:
+                m //= p
                 e += 1
-            found.append((d, e))
-        d += 1 if d == 2 else 2
+            found.append((p, e))
+            top = min(limit, math.isqrt(m))
     return tuple(found), m
 
 

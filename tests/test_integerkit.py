@@ -1,7 +1,13 @@
 import math
 import random
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmgenus2 import integerkit
 from cmgenus2.integerkit import (
@@ -136,6 +142,107 @@ def test_trial_division_composite_rest():
 def test_trial_division_rejects_zero():
     with pytest.raises(ValueError):
         trial_division(0, 100)
+
+
+def odd_loop_trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The reference: trial division by 2 and then every odd d, as the
+    package did before it tried primes only."""
+    found = []
+    m = n
+    d = 2
+    while d <= limit and d * d <= m:
+        if m % d == 0:
+            e = 0
+            while m % d == 0:
+                m //= d
+                e += 1
+            found.append((d, e))
+        d += 1 if d == 2 else 2
+    return tuple(found), m
+
+
+LIMITS = (0, 1, 2, 3, 100, 10**4, 10**6)
+LARGEST_PRIME_BELOW_MILLION = 999983
+
+
+@st.composite
+def prime_rests(draw) -> int:
+    """A smooth part times a prime r above its primes: the scan ends on
+    d * d > m with r as the rest whenever the limit reaches 13."""
+    r = draw(st.integers(17, 10**6))
+    while not is_probable_prime(r):
+        r += 1
+    smooth = draw(st.lists(st.sampled_from((2, 3, 5, 7, 11, 13)), max_size=40))
+    return math.prod(smooth) * r
+
+
+@st.composite
+def wide_integers(draw) -> int:
+    """n of a width drawn evenly up to 256 bits, its lower bits random;
+    plain st.integers favours small and boundary values."""
+    bits = draw(st.integers(1, 256))
+    return draw(st.randoms()).getrandbits(bits) | 1 << (bits - 1)
+
+
+def cold_trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """trial_division with the cached prime table dropped first, so the
+    table it scans is the one sized from n and the limit alone."""
+    saved = integerkit._prime_table
+    integerkit._prime_table = (0, array("I"))
+    try:
+        return trial_division(n, limit)
+    finally:
+        integerkit._prime_table = saved
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=wide_integers() | prime_rests(), limit=st.sampled_from(LIMITS))
+def test_trial_division_matches_odd_loop(n, limit):
+    expected = odd_loop_trial_division(n, limit)
+    assert cold_trial_division(n, limit) == expected
+    assert trial_division(n, limit) == expected
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+@pytest.mark.parametrize("n", [
+    LARGEST_PRIME_BELOW_MILLION**2,
+    3 * LARGEST_PRIME_BELOW_MILLION**2,
+    2 * LARGEST_PRIME_BELOW_MILLION,
+])
+def test_trial_division_at_the_largest_table_prime(n, limit):
+    expected = odd_loop_trial_division(n, limit)
+    assert cold_trial_division(n, limit) == expected
+    assert trial_division(n, limit) == expected
+
+
+def test_prime_table_to_one_million(monkeypatch):
+    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I")))
+    table = integerkit._primes_up_to(10**6)
+    assert len(table) == 78498
+    assert table[-1] == LARGEST_PRIME_BELOW_MILLION
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 8, 9, 15, 16, 25, 49, 50, 121, 1024, 10**6])
+def test_prime_table_matches_sieve(monkeypatch, bound):
+    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I")))
+    table = integerkit._primes_up_to(bound)
+    assert list(table) == [i for i, prime in enumerate(sieve(bound + 1)) if prime]
+
+
+def test_small_orders_build_a_small_table(monkeypatch):
+    # Jacobian orders over F_p with p <= 31 stay below (sqrt(31) + 1)^4
+    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I")))
+    for n in range(1, 1861):
+        factorize(n)
+    assert integerkit._prime_table[0] <= 2**10
+
+
+def test_import_builds_no_prime_table():
+    src = Path(integerkit.__file__).resolve().parents[1]
+    code = "import cmgenus2; from cmgenus2 import integerkit; print(integerkit._prime_table[0])"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={"PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "0"
 
 
 def test_factorization_validation():
