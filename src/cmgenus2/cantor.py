@@ -307,13 +307,6 @@ def padded_invariant_factors(factors: list[int]) -> tuple[int, int, int, int]:
     return tuple(padded)  # type: ignore[return-value]
 
 
-def check_structure_theorem(curve: GenusTwoCurve) -> bool:
-    """n1 | n2 | n3 | n4 with n2 | p - 1, verified by exhaustion."""
-    _, factors = enumerate_jacobian(curve)
-    n = padded_invariant_factors(factors)
-    return (curve.p - 1) % n[1] == 0
-
-
 def point_count_order(curve: GenusTwoCurve) -> int:
     """Independent order computation from point counts over F_p and F_p^2.
 

@@ -162,7 +162,7 @@ def cmd_validate(args) -> int:
 def cmd_gen(args) -> int:
     field, basis, raw = read_config(args.config)
     cmfield.require_primitive(field)
-    cfg = GenConfig(target_bits=args.bits, seed=args.seed, max_iters=args.max_iter)
+    cfg = GenConfig(target_bits=args.bits, seed=args.seed)
     cert = search_prime(field, cfg)
     report = {
         "field": field_view(field, basis, raw),
@@ -375,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("config")
     p_gen.add_argument("--bits", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--max-iter", type=int, default=10_000)
     p_gen.add_argument("--json", action="store_true")
     p_gen.set_defaults(func=cmd_gen)
 

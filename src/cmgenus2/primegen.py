@@ -19,7 +19,8 @@ The right side n (or m) is factored by trial division up to
 right side is not fully factored within that budget is resampled.
 Divisors are tried in seeded pseudo-random order (both signs), and the
 divisors of one pair are exhausted before the next pair is sampled, so a
-fixed (field, config) always reproduces the same certificate.  Shared odd
+fixed (field, config) always reproduces the same certificate.  At most
+``MAX_CANDIDATES`` in-window norms are tested for primality.  Shared odd
 factors of (c3, c4) are never emitted; shared powers of two are allowed.
 """
 
@@ -37,6 +38,7 @@ from .quartic import OracleMismatch, norm_residual
 # factoring budget for the divisor-equation right side
 TRIAL_WALL = 10**4
 RHO_BUDGET = 200_000
+MAX_CANDIDATES = 10_000  # primality tests before the search gives up
 
 
 class SearchExhausted(RuntimeError):
@@ -59,13 +61,10 @@ class CompositeP(ValueError):
 class GenConfig:
     target_bits: int
     seed: int = 0
-    max_iters: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.target_bits < 4:
-            raise ValueError("target_bits must be >= 4")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not 4 <= self.target_bits <= 1024:
+            raise ValueError("target_bits must be between 4 and 1024")
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ def search_prime(field: ValidatedField, cfg: GenConfig) -> OmegaCertificate:
     case1 = field.case is FieldCase.CASE1
     solver = solve_divisor_equation_1 if case1 else solve_divisor_equation_23
     tested = 0
-    pair_cap = max(1000, 50 * cfg.max_iters)
+    pair_cap = 50 * MAX_CANDIDATES
     for _ in range(pair_cap):
         c3, c4 = _sample_pair(rng, lo_bits, hi_bits)
         try:
@@ -229,6 +228,6 @@ def search_prime(field: ValidatedField, cfg: GenConfig) -> OmegaCertificate:
             tested += 1
             if is_probable_prime(p):
                 return make_certificate(field, c)
-            if tested >= cfg.max_iters:
+            if tested >= MAX_CANDIDATES:
                 raise SearchExhausted(f"no prime after {tested} candidates")
     raise SearchExhausted(f"no candidate with {cfg.target_bits}-bit norm after {pair_cap} pairs")

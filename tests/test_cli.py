@@ -111,10 +111,24 @@ def test_gen_rejects_non_primitive(tmp_path, capsys):
     assert main(["gen", str(cfg), "--bits", "16"]) == 1
 
 
-def test_gen_exhaustion_exit_code(capsys, field2_cfg):
+def test_gen_exhaustion_exit_code(monkeypatch, capsys, field2_cfg):
     # seed 0's first tested 24-bit candidate is composite (deterministic)
-    rc = main(["gen", field2_cfg, "--bits", "24", "--seed", "0", "--max-iter", "1"])
+    monkeypatch.setattr(primegen, "MAX_CANDIDATES", 1)
+    rc = main(["gen", field2_cfg, "--bits", "24", "--seed", "0"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["--bits", "4096"], ["--bits", "24", "--max-iter", "5"]]
+)
+def test_gen_unbounded_request_is_input_error(capsys, field2_cfg, argv):
+    # a search beyond 1024 bits would run for hours; the candidate budget
+    # is not an option
+    assert main(["gen", field2_cfg, *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_gen_solver_mismatch_exit_code(monkeypatch, capsys, field2_cfg):

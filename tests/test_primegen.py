@@ -3,14 +3,16 @@ import random
 
 import pytest
 
+from cmgenus2 import primegen
 from cmgenus2.cmfield import validate
-from cmgenus2.integerkit import is_probable_prime
+from cmgenus2.integerkit import divisors, factorize, is_probable_prime
 from cmgenus2.primegen import (
     CompositeP,
     GenConfig,
     InvalidOmega,
     NoIntegralSolution,
     OmegaCertificate,
+    RHO_BUDGET,
     TRIAL_WALL,
     SearchExhausted,
     make_certificate,
@@ -122,27 +124,28 @@ def rhs_1(field, c3, c4):
     return None if s8 % 4 else -s8 // 4
 
 
-def brute_force_23(n):
-    return {(s * d, n // (s * d)) for d in divisors_by_scan(n) for s in (1, -1)}
+def pairs_23(n, ds):
+    return {(s * d, n // (s * d)) for d in ds for s in (1, -1)}
 
 
-def brute_force_1(m):
-    return {((m // c2 - c2) // 2, c2)
-            for d in divisors_by_scan(m) for c2 in (d, -d) if (m // c2 - c2) % 2 == 0}
+def pairs_1(m, ds):
+    return {((m // c2 - c2) // 2, c2) for d in ds for c2 in (d, -d) if (m // c2 - c2) % 2 == 0}
 
 
 def test_solvers_match_brute_force_randomized():
     # below TRIAL_WALL**2 trial division factors the right side fully, so
-    # the solutions are exactly all divisor solutions; above it every
-    # returned pair still solves the equation, and none repeats (a right
-    # side not factored within RHO_BUDGET gives no pairs at all)
+    # the solutions are exactly all divisor solutions (reference: a divisor
+    # scan); above it they are all of them when the search's own budget
+    # factors the right side (reference: the divisors of a factorization
+    # with the default, larger budget), and none at all otherwise, since
+    # such a pair is resampled
     rng = random.Random(34)
-    case23 = (solve_divisor_equation_23, rhs_23, brute_force_23, lambda c1, c2: c1 * c2)
-    case1 = (solve_divisor_equation_1, rhs_1, brute_force_1, lambda c1, c2: c2 * (2 * c1 + c2))
+    case23 = (solve_divisor_equation_23, rhs_23, pairs_23)
+    case1 = (solve_divisor_equation_1, rhs_1, pairs_1)
     cases = ((F2, *case23), (F3, *case23), (F5, *case1), (F13, *case1))
-    small = large = 0
+    small = large = exact = 0
     for _ in range(600):
-        field, solve, rhs, brute, lhs = rng.choice(cases)
+        field, solve, rhs, pairs = rng.choice(cases)
         bits = rng.choice((10, 40))
         c3, c4 = rng.randrange(-2**bits, 2**bits), rng.randrange(-2**bits, 2**bits)
         value = rhs(field, c3, c4)
@@ -155,11 +158,19 @@ def test_solvers_match_brute_force_randomized():
             assert sols == []
         elif abs(value) < TRIAL_WALL**2:
             small += 1
-            assert set(sols) == brute(value), (field.D, c3, c4)
+            assert set(sols) == pairs(value, divisors_by_scan(value)), (field.D, c3, c4)
         else:
             large += 1
-            assert all(lhs(c1, c2) == value for c1, c2 in sols), (field.D, c3, c4)
-    assert small > 100 and large > 100
+            reference = factorize(abs(value))
+            assert reference.is_complete, value
+            budgeted = factorize(abs(value), trial_limit=TRIAL_WALL, rho_iters=RHO_BUDGET)
+            if budgeted.is_complete:
+                exact += 1
+                assert set(sols) == pairs(value, divisors(reference)), (field.D, c3, c4)
+            else:
+                assert sols == [], (field.D, c3, c4)
+    assert small > 100 and large > 100, (small, large)
+    assert exact > 100, (exact, large)
 
 
 def test_gen_omega_23_produces_valid_certificates():
@@ -202,15 +213,18 @@ def test_config_preconditions():
     with pytest.raises(ValueError):
         GenConfig(target_bits=3)
     with pytest.raises(ValueError):
-        GenConfig(target_bits=16, max_iters=0)
+        GenConfig(target_bits=1025)
+    assert GenConfig(target_bits=4).target_bits == 4
+    assert GenConfig(target_bits=1024).target_bits == 1024
 
 
-def test_search_exhausted():
+def test_search_exhausted(monkeypatch):
     # seed 0's first in-window candidate at 24 bits is composite, so a
     # budget of one primality test must exhaust (stable: search is
     # deterministic per seed)
+    monkeypatch.setattr(primegen, "MAX_CANDIDATES", 1)
     with pytest.raises(SearchExhausted):
-        search_prime(F2, GenConfig(target_bits=24, seed=0, max_iters=1))
+        search_prime(F2, GenConfig(target_bits=24, seed=0))
 
 
 def test_negate_preserves_validity():
