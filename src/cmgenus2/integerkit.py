@@ -8,7 +8,11 @@ probability is at most 4**(-24).
 
 Factoring is trial division over a cached table of small primes followed
 by Pollard rho with Brent cycle detection, by default up to ``TRIAL_LIMIT``
-and for ``RHO_ITERS`` steps.
+and for ``RHO_ITERS`` steps.  Trial division skips each block of 256
+consecutive primes whose product is coprime to the rest with one gcd (the
+simplest case of Bernstein's product trees, "How to find smooth parts of
+integers", 2004).  The block products are built once per process with
+the table, about 20 ms on top of the 24 ms sieve to 10**6.
 It is deliberately cheap: the numbers this package meets are smooth times
 at most one large prime cofactor.  When the budget runs out the result
 carries the unfactored composite cofactor instead of failing silently.
@@ -48,10 +52,15 @@ _RANDOM_ROUNDS = 24
 TRIAL_LIMIT = 10**6
 RHO_ITERS = 2_000_000
 
-# (bound, every prime up to bound ascending): sieved on first need and
-# replaced only by a longer table, as one tuple so that no thread pairs a
-# table with another table's bound
-_prime_table: tuple[int, array] = (0, array("I"))
+# trial division tests this many consecutive primes of the table at once,
+# by one gcd with their product
+_BLOCK = 256
+
+# (bound, every prime up to bound ascending, the product of each _BLOCK
+# of the table in turn): sieved on first need and replaced only by a
+# longer table, as one tuple so that no thread pairs a table with another
+# table's bound or products
+_prime_table: tuple[int, array, tuple[int, ...]] = (0, array("I"), ())
 
 
 @dataclass(frozen=True)
@@ -170,11 +179,11 @@ def _primes_up_to(bound: int) -> array:
     """A table of the primes, ascending, holding every prime up to ``bound``.
 
     The table is sieved (odd numbers only) on the first call that needs
-    more than it holds and kept for later calls, so it may run past
-    ``bound``.
+    more than it holds and kept for later calls, with its block products,
+    so it may run past ``bound``.
     """
     global _prime_table
-    sieved, table = _prime_table
+    sieved, table, _ = _prime_table
     if bound > sieved:
         size = (bound - 1) // 2  # flags[i] stands for 2*i + 3
         flags = bytearray([1]) * size
@@ -185,8 +194,9 @@ def _primes_up_to(bound: int) -> array:
                 flags[start::p] = bytes(len(range(start, size, p)))
         table = array("I", [2] if bound >= 2 else [])
         table.extend(compress(range(3, bound + 1, 2), flags))
+        products = tuple(math.prod(table[i:i + _BLOCK]) for i in range(0, len(table), _BLOCK))
         if bound > _prime_table[0]:
-            _prime_table = (bound, table)
+            _prime_table = (bound, table, products)
     return table
 
 
@@ -198,7 +208,9 @@ def trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int
     Only primes are tried, and the scan stops at the first prime above
     ``limit`` or above the square root of the rest.  The prime table is
     sized from isqrt(n), rounded up to a power of two and capped at
-    ``limit``, so small n never sieve far.
+    ``limit``, so small n never sieve far.  The table is walked a block
+    of ``_BLOCK`` primes at a time: a block whose product is coprime to
+    the rest is skipped whole, any other is scanned prime by prime.
     """
     if n < 1:
         raise ValueError("trial division requires n >= 1")
@@ -206,16 +218,23 @@ def trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int
     found = []
     m = n
     top = min(limit, root)
-    for p in _primes_up_to(min(limit, 1 << (root - 1).bit_length())):
-        if p > top:
+    _primes_up_to(min(limit, 1 << (root - 1).bit_length()))
+    _, table, products = _prime_table  # one read: the table and its products
+    for start, product in zip(range(0, len(table), _BLOCK), products):
+        if table[start] > top:
             break
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            found.append((p, e))
-            top = min(limit, math.isqrt(m))
+        if math.gcd(product, m) == 1:
+            continue
+        for p in table[start:start + _BLOCK]:
+            if p > top:
+                break
+            if m % p == 0:
+                e = 0
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                found.append((p, e))
+                top = min(limit, math.isqrt(m))
     return tuple(found), m
 
 
@@ -269,6 +288,8 @@ def valuation(n: int, q: int) -> int:
     """The exponent of the prime q in n != 0."""
     if n == 0:
         raise ValueError("valuation of 0 is unbounded")
+    if abs(q) < 2:
+        raise ValueError("valuation needs |q| >= 2")
     e = 0
     while n % q == 0:
         n //= q

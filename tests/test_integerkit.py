@@ -16,6 +16,7 @@ from cmgenus2.integerkit import (
     factorize,
     is_probable_prime,
     trial_division,
+    valuation,
 )
 
 
@@ -188,7 +189,7 @@ def cold_trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...]
     """trial_division with the cached prime table dropped first, so the
     table it scans is the one sized from n and the limit alone."""
     saved = integerkit._prime_table
-    integerkit._prime_table = (0, array("I"))
+    integerkit._prime_table = (0, array("I"), ())
     try:
         return trial_division(n, limit)
     finally:
@@ -216,7 +217,7 @@ def test_trial_division_at_the_largest_table_prime(n, limit):
 
 
 def test_prime_table_to_one_million(monkeypatch):
-    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I")))
+    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
     table = integerkit._primes_up_to(10**6)
     assert len(table) == 78498
     assert table[-1] == LARGEST_PRIME_BELOW_MILLION
@@ -224,17 +225,96 @@ def test_prime_table_to_one_million(monkeypatch):
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 8, 9, 15, 16, 25, 49, 50, 121, 1024, 10**6])
 def test_prime_table_matches_sieve(monkeypatch, bound):
-    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I")))
+    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
     table = integerkit._primes_up_to(bound)
     assert list(table) == [i for i, prime in enumerate(sieve(bound + 1)) if prime]
 
 
 def test_small_orders_build_a_small_table(monkeypatch):
     # Jacobian orders over F_p with p <= 31 stay below (sqrt(31) + 1)^4
-    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I")))
+    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
     for n in range(1, 1861):
         factorize(n)
     assert integerkit._prime_table[0] <= 2**10
+
+
+MERSENNE_89 = 2**89 - 1  # prime, far above the trial wall
+
+
+def million_table() -> list[int]:
+    return list(integerkit._primes_up_to(10**6))
+
+
+@pytest.mark.parametrize("index", [
+    0,                          # 2, the first prime of block 0
+    integerkit._BLOCK - 1,      # the last prime of block 0
+    integerkit._BLOCK,          # the first prime of block 1
+    3 * integerkit._BLOCK - 1,  # the last prime of block 2
+    -2,                         # in the partial trailing block
+    -1,                         # 999983, the last prime of the table
+])
+@pytest.mark.parametrize("e", [1, 3])
+def test_trial_division_single_small_prime_at_block_edges(index, e):
+    table = million_table()
+    assert len(table) % integerkit._BLOCK != 0  # the last block is partial
+    q = table[index]
+    expected = (((q, e),), MERSENNE_89)
+    assert cold_trial_division(q**e * MERSENNE_89, 10**6) == expected
+    assert trial_division(q**e * MERSENNE_89, 10**6) == expected
+
+
+@pytest.mark.parametrize("limit", LIMITS)
+def test_trial_division_across_the_first_block_boundary(limit):
+    # the last prime of block 0 times the first prime of block 1: the scan
+    # must stop on the square root of the rest, one prime into block 1
+    a, b = million_table()[integerkit._BLOCK - 1 : integerkit._BLOCK + 1]
+    expected = odd_loop_trial_division(a * b, limit)
+    assert cold_trial_division(a * b, limit) == expected
+    assert trial_division(a * b, limit) == expected
+    if limit >= a:
+        assert expected == (((a, 1),), b)
+
+
+def test_grown_table_matches_cold_table(monkeypatch):
+    rng = random.Random(5)
+    values = [rng.getrandbits(rng.randrange(8, 257)) | 1 for _ in range(200)]
+    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
+    integerkit._primes_up_to(10**6)
+    cold_table = integerkit._prime_table
+    cold = [trial_division(n, 10**6) for n in values]
+    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
+    small = [trial_division(n, 10**4) for n in values]
+    assert integerkit._prime_table[0] <= 10**4
+    assert [trial_division(n, 10**6) for n in values] == cold
+    assert integerkit._prime_table == cold_table
+    assert [trial_division(n, 10**4) for n in values] == small
+
+
+# 1619 and 3671 are the 256th and 512th primes: tables of exactly one or two
+# full blocks at _BLOCK = 256, and one more prime after each
+@pytest.mark.parametrize("bound", [1, 2, 100, 1619, 1621, 3671, 3673, 10**4, 10**6])
+def test_block_products(monkeypatch, bound):
+    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
+    table = list(integerkit._primes_up_to(bound))
+    sieved, stored, products = integerkit._prime_table
+    assert (sieved, list(stored)) == (bound, table)
+    blocks = [table[i : i + integerkit._BLOCK] for i in range(0, len(table), integerkit._BLOCK)]
+    assert len(products) == len(blocks)
+    for product, block in zip(products, blocks):
+        assert product == math.prod(block)
+
+
+def test_valuation():
+    assert valuation(12, 2) == 2
+    assert valuation(-24, 2) == 3
+    assert valuation(12, 5) == 0
+    assert valuation(3**7, -3) == 7
+
+
+@pytest.mark.parametrize("q", [-1, 0, 1])
+def test_valuation_rejects_units_and_zero(q):
+    with pytest.raises(ValueError):
+        valuation(12, q)
 
 
 def test_import_builds_no_prime_table():

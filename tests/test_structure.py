@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -75,6 +76,17 @@ def test_exponent_chains_properties():
                 assert sum(chain) == v
                 assert chain[0] <= chain[1] <= chain[2] <= chain[3]
                 assert chain[1] <= cap
+
+
+def test_exponent_chains_complete():
+    # every nondecreasing (e1, e2, e3, e4) with sum v and e2 <= cap, exactly once
+    for v in range(13):
+        for cap in range(6):
+            brute = {(*head, v - sum(head)) for head in itertools.product(range(v + 1), repeat=3)
+                     if head[0] <= head[1] <= head[2] <= v - sum(head) and head[1] <= cap}
+            chains = exponent_chains(v, cap)
+            assert len(chains) == len(brute)
+            assert set(chains) == brute
 
 
 def test_admissible_ell_toy():
