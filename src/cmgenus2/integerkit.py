@@ -7,11 +7,11 @@ supplemented with 24 random rounds seeded from n, so the composite error
 probability is at most 4**(-24).
 
 Factoring is trial division over a cached table of small primes followed
-by Pollard rho with Brent cycle detection, by default up to ``TRIAL_LIMIT``
-and for ``RHO_ITERS`` steps.  Trial division skips each block of 256
-consecutive primes whose product is coprime to the rest with one gcd (the
-simplest case of Bernstein's product trees, "How to find smooth parts of
-integers", 2004).  The block products are built once per process with
+by Pollard rho with Brent cycle detection, up to ``TRIAL_LIMIT`` and for
+``RHO_ITERS`` steps, the one budget.  Trial division skips each block of
+256 consecutive primes whose product is coprime to the rest with one gcd
+(the simplest case of Bernstein's product trees, "How to find smooth
+parts of integers", 2004).  The block products are built once per process with
 the table, about 20 ms on top of the 24 ms sieve to 10**6.
 It is deliberately cheap: the numbers this package meets are smooth times
 at most one large prime cofactor.  When the budget runs out the result
@@ -48,7 +48,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _RANDOM_ROUNDS = 24
 
-# the default factoring budget of ``factorize``, read at call time
+# the factoring budget of ``factorize``, read at call time
 TRIAL_LIMIT = 10**6
 RHO_ITERS = 2_000_000
 
@@ -238,18 +238,14 @@ def trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int
     return tuple(found), m
 
 
-def factorize(n: int, *, trial_limit: int | None = None,
-              rho_iters: int | None = None) -> Factorization:
-    """Factor n >= 1 by trial division to ``trial_limit``, then Brent rho.
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by trial division to ``TRIAL_LIMIT``, then Brent rho.
 
     Returns a complete factorization when every cofactor yields within
-    ``rho_iters`` rho steps, otherwise a partial one whose ``cofactor``
-    marks the surviving composite.  The budget defaults to ``TRIAL_LIMIT``
-    and ``RHO_ITERS``; only the prime search passes its own, smaller one.
+    ``RHO_ITERS`` rho steps, otherwise a partial one whose ``cofactor``
+    marks the surviving composite.  Both limits are read at call time.
     """
-    trial_limit = TRIAL_LIMIT if trial_limit is None else trial_limit
-    rho_iters = RHO_ITERS if rho_iters is None else rho_iters
-    small, m = trial_division(n, trial_limit)
+    small, m = trial_division(n, TRIAL_LIMIT)
     found = dict(small)
     rng = random.Random(n << 16)
     pending = [m] if m > 1 else []
@@ -258,12 +254,12 @@ def factorize(n: int, *, trial_limit: int | None = None,
         c = pending.pop()
         if c == 1:
             continue
-        if c <= trial_limit * trial_limit or is_probable_prime(c):
+        if c <= TRIAL_LIMIT * TRIAL_LIMIT or is_probable_prime(c):
             # survivors have no factor below the trial wall, so anything
             # under its square is prime outright
             found[c] = found.get(c, 0) + _extract(c, pending)
             continue
-        g = _brent_rho(c, rng, rho_iters)
+        g = _brent_rho(c, rng, RHO_ITERS)
         if g == 0:
             composite_leftover *= c
             continue

@@ -11,17 +11,18 @@ resulting rational norm for primality:
   D = 1 (mod 4):  with S8 = 4*c3^2*b + 8*c3*c4*(a+b) + c4^2*(b*(D+3) + 4a)
       the component vanishes iff c2*(2*c1 + c2) = m where m = -S8/4, so
       4 | S8 is required and c2 runs over divisors of m with m/c2 = c2
-      (mod 2).  Every accepted solution is re-verified by exact ring
-      multiplication; the closed forms never get the final word.
+      (mod 2).  Every accepted solution is re-verified by exact
+      multiplication in O_K0; the closed forms never get the final word.
 
-The right side n (or m) is factored by trial division up to
-``TRIAL_WALL`` and Brent rho with ``RHO_BUDGET`` steps; a pair whose
-right side is not fully factored within that budget is resampled.
-Divisors are tried in seeded pseudo-random order (both signs), and the
-divisors of one pair are exhausted before the next pair is sampled, so a
-fixed (field, config) always reproduces the same certificate.  At most
-``MAX_CANDIDATES`` in-window norms are tested for primality.  Shared odd
-factors of (c3, c4) are never emitted; shared powers of two are allowed.
+c1 (or c2) runs over the divisors of the part of |n| (or |m|) that trial
+division up to ``TRIAL_WALL`` finds and their complements |n|/d: every
+divisor when at most one prime of n lies above the wall, and no pair is
+resampled for want of a factorization.  Divisors are tried in seeded
+pseudo-random order (both signs), and the divisors of one pair are
+exhausted before the next pair is sampled, so a fixed (field, config)
+always reproduces the same certificate.  At most ``MAX_CANDIDATES``
+in-window norms are tested for primality.  Shared odd factors of
+(c3, c4) are never emitted; shared powers of two are allowed.
 """
 
 from __future__ import annotations
@@ -31,13 +32,11 @@ import random
 from dataclasses import dataclass
 
 from .cmfield import FieldCase, ValidatedField
-from .integerkit import divisors, factorize, is_probable_prime
+from .integerkit import Factorization, divisors, is_probable_prime, trial_division
 from .quartic import OracleMismatch, norm_residual
 
 
-# factoring budget for the divisor-equation right side
-TRIAL_WALL = 10**4
-RHO_BUDGET = 200_000
+TRIAL_WALL = 10**4  # trial-division limit for the divisor-equation right side
 MAX_CANDIDATES = 10_000  # primality tests before the search gives up
 
 
@@ -121,19 +120,20 @@ def pair_admissible_23(field: ValidatedField, c3: int, c4: int) -> bool:
 
 
 def _right_side_divisors(n: int) -> list[int]:
-    """All divisors of |n|, ascending; NoIntegralSolution when |n| is not
-    fully factored within the budget."""
-    fact = factorize(abs(n), trial_limit=TRIAL_WALL, rho_iters=RHO_BUDGET)
-    if not fact.is_complete:
-        raise NoIntegralSolution(f"could not factor {n} within budget")
-    return divisors(fact)
+    """The divisors d of the part of |n| that trial division up to
+    ``TRIAL_WALL`` finds and their complements |n|/d, once, ascending."""
+    n = abs(n)
+    small, _ = trial_division(n, TRIAL_WALL)
+    found = divisors(Factorization(small))
+    return sorted({*found, *(n // d for d in found)})
 
 
 def solve_divisor_equation_23(field: ValidatedField, c3: int, c4: int) -> list[tuple[int, int]]:
-    """All (c1, c2) with c1*c2 = n for the pair, in deterministic order.
+    """Pairs (c1, c2) with c1*c2 = n for the pair, in deterministic order:
+    all of them when at most one prime of n lies above ``TRIAL_WALL``.
 
-    Raises NoIntegralSolution when the pair fails the parity condition,
-    n is zero, or n cannot be factored within budget.
+    Raises NoIntegralSolution when the pair fails the parity condition or
+    n is zero.
     """
     if not pair_admissible_23(field, c3, c4):
         raise NoIntegralSolution(f"pair ({c3}, {c4}) fails gcd or parity")
@@ -149,11 +149,12 @@ def solve_divisor_equation_23(field: ValidatedField, c3: int, c4: int) -> list[t
 
 
 def solve_divisor_equation_1(field: ValidatedField, c3: int, c4: int) -> list[tuple[int, int]]:
-    """All (c1, c2) with c2*(2*c1 + c2) = m for the pair.
+    """Pairs (c1, c2) with c2*(2*c1 + c2) = m for the pair: all of them
+    when at most one prime of m lies above ``TRIAL_WALL``.
 
     The odd parts of c3 and c4 must be coprime.  Raises NoIntegralSolution
-    when 4 does not divide S8, no divisor of m has the parity that makes
-    c1 integral, m is zero, or factoring fails within budget.
+    when 4 does not divide S8, no divisor tried has the parity that makes
+    c1 integral, or m is zero.
     """
     if math.gcd(odd_part(c3), odd_part(c4)) != 1:
         raise NoIntegralSolution(f"pair ({c3}, {c4}) shares an odd factor")
@@ -182,8 +183,7 @@ def _pair_bit_range(field: ValidatedField, cfg: GenConfig) -> tuple[int, int]:
     Pairs near (target - scale)/2 bits reach the target through balanced
     divisor splits c1 ~ c2 ~ sqrt(n); pairs near a quarter of the target
     reach it through lopsided splits (c2 a small divisor, c1 ~ n), whose
-    n is half as long and therefore much easier to factor.  Sampling the
-    whole range covers both regimes.
+    n is half as long.  Sampling the whole range covers both regimes.
     """
     scale = (field.a * (1 + field.D)).bit_length()
     hi = max(2, (cfg.target_bits - scale) // 2)

@@ -13,8 +13,8 @@ and complex conjugation sends eta to -eta.
 The closed-form norm components evaluated by ``norm_residual`` contain
 denominators 4 and 8 in the D = 1 (mod 4) case, so they are computed as
 8 times the stated quantities in pure integers and the scale is removed
-afterwards; ring multiplication remains the arbiter and any disagreement
-raises OracleMismatch (a bug, never bad input).
+afterwards; exact multiplication in O_K0 remains the arbiter and any
+disagreement raises OracleMismatch (a bug, never bad input).
 """
 
 from __future__ import annotations
@@ -165,8 +165,10 @@ def norm_residual(
     exactly when residual is zero.  For D = 1 (mod 4) the closed forms
     are evaluated at scale 8 in integers (the sqrt(D)-component is
     residual/2 there, zero iff residual is).  The result is cross-checked
-    against exact ring multiplication; disagreement means a transcribed
-    formula is wrong and raises OracleMismatch.
+    against the exact product A^2 + B^2*(a + b*xi) in O_K0, with
+    omega = A + B*eta (the eta-part of omega * conj(omega) is identically
+    0); disagreement means a transcribed formula is wrong and raises
+    OracleMismatch.
     """
     c1, c2, c3, c4 = c
     D, a, b = field.D, field.a, field.b
@@ -194,10 +196,9 @@ def norm_residual(
         z_part = z8 // 4
         p_part = (p8 - z8) // 8
 
-    u = QuarticInt(*c)
-    prod = mul(u, conj_complex(u), field)
-    if prod.coords() != (p_part, z_part, 0, 0):
-        raise OracleMismatch(
-            f"closed form {(p_part, z_part)} != ring product {prod.coords()} at {c}"
-        )
+    aa = _k0_mul((c1, c2), (c1, c2), field)
+    bb_eta2 = _k0_mul(_k0_mul((c3, c4), (c3, c4), field), (a, b), field)
+    prod = (aa[0] + bb_eta2[0], aa[1] + bb_eta2[1])
+    if prod != (p_part, z_part):
+        raise OracleMismatch(f"closed form {(p_part, z_part)} != ring product {prod} at {c}")
     return p_part, z_part

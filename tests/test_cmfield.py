@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmgenus2.cmfield import (
     Basis,
@@ -124,6 +126,26 @@ def test_basis_convert_round_trip_random():
         t = tuple(rng.randrange(-10**6, 10**6) for _ in range(4))
         x = basis_convert(t, Basis.SQRT_D, Basis.XI, params)
         assert basis_convert(x, Basis.XI, Basis.SQRT_D, params) == t
+
+
+COORDINATES = st.integers(-2**300, 2**300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(params=st.sampled_from([CMFieldParams(2, 2, 1), CMFieldParams(3, 5, 2),
+                               CMFieldParams(5, 6, 2), CMFieldParams(13, 7, 2)]),
+       c=st.tuples(COORDINATES, COORDINATES, COORDINATES, COORDINATES))
+def test_basis_round_trip_property(params, c):
+    # xi -> sqrt(D) -> xi; for D = 1 (mod 4) odd xi-coefficients have no
+    # integral sqrt(D) form, and the other direction always does
+    if params.case is FieldCase.CASE1 and (c[1] % 2 or c[3] % 2):
+        with pytest.raises(NonIntegralConversion):
+            basis_convert(c, Basis.XI, Basis.SQRT_D, params)
+    else:
+        s = basis_convert(c, Basis.XI, Basis.SQRT_D, params)
+        assert basis_convert(s, Basis.SQRT_D, Basis.XI, params) == c
+    x = basis_convert(c, Basis.SQRT_D, Basis.XI, params)
+    assert basis_convert(x, Basis.XI, Basis.SQRT_D, params) == c
 
 
 def test_field_params_from_basis():

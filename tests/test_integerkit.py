@@ -112,12 +112,14 @@ def test_factorize_partial_is_marked(monkeypatch):
     assert f.cofactor == a * b
 
 
-def test_factorize_explicit_budget_overrides_default():
-    # the prime search passes its own budget; the module defaults stay put
+def test_factorize_reads_its_budget_at_call_time(monkeypatch):
+    # factorize has one budget, the module constants, read on each call
     a = 10000019
     b = 10000079
-    assert factorize(a * b, trial_limit=100, rho_iters=10).cofactor == a * b
     assert factorize(a * b).factors == ((a, 1), (b, 1))
+    monkeypatch.setattr(integerkit, "TRIAL_LIMIT", 100)
+    monkeypatch.setattr(integerkit, "RHO_ITERS", 10)
+    assert factorize(a * b).cofactor == a * b
 
 
 def test_trial_division_unit():

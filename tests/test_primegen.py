@@ -3,16 +3,15 @@ import random
 
 import pytest
 
-from cmgenus2 import primegen
+from cmgenus2 import integerkit, primegen
 from cmgenus2.cmfield import validate
-from cmgenus2.integerkit import divisors, factorize, is_probable_prime
+from cmgenus2.integerkit import Factorization, divisors, factorize, is_probable_prime, trial_division
 from cmgenus2.primegen import (
     CompositeP,
     GenConfig,
     InvalidOmega,
     NoIntegralSolution,
     OmegaCertificate,
-    RHO_BUDGET,
     TRIAL_WALL,
     SearchExhausted,
     make_certificate,
@@ -132,21 +131,30 @@ def pairs_1(m, ds):
     return {((m // c2 - c2) // 2, c2) for d in ds for c2 in (d, -d) if (m // c2 - c2) % 2 == 0}
 
 
+def trial_divisors(value):
+    """Divisors of the part of |value| trial division to TRIAL_WALL finds,
+    plus their complements, and the rest trial division leaves."""
+    n = abs(value)
+    small, rest = trial_division(n, TRIAL_WALL)
+    found = divisors(Factorization(small))
+    return {*found, *(n // d for d in found)}, rest
+
+
 def test_solvers_match_brute_force_randomized():
     # below TRIAL_WALL**2 trial division factors the right side fully, so
     # the solutions are exactly all divisor solutions (reference: a divisor
-    # scan); above it they are all of them when the search's own budget
-    # factors the right side (reference: the divisors of a factorization
-    # with the default, larger budget), and none at all otherwise, since
-    # such a pair is resampled
+    # scan).  Above it they are the pairs from the divisors of the trial
+    # part and their complements: all of them (reference: the divisors of
+    # a factorization with the default budget) when the rest is 1 or a
+    # prime, a subset when the rest is composite
     rng = random.Random(34)
     case23 = (solve_divisor_equation_23, rhs_23, pairs_23)
     case1 = (solve_divisor_equation_1, rhs_1, pairs_1)
     cases = ((F2, *case23), (F3, *case23), (F5, *case1), (F13, *case1))
-    small = large = exact = 0
-    for _ in range(600):
+    small = complete = partial = two_big_primes = 0
+    for _ in range(900):
         field, solve, rhs, pairs = rng.choice(cases)
-        bits = rng.choice((10, 40))
+        bits = rng.choice((10, 25, 40))
         c3, c4 = rng.randrange(-2**bits, 2**bits), rng.randrange(-2**bits, 2**bits)
         value = rhs(field, c3, c4)
         try:
@@ -160,17 +168,21 @@ def test_solvers_match_brute_force_randomized():
             small += 1
             assert set(sols) == pairs(value, divisors_by_scan(value)), (field.D, c3, c4)
         else:
-            large += 1
+            tried, rest = trial_divisors(value)
+            assert set(sols) == pairs(value, tried), (field.D, c3, c4)
             reference = factorize(abs(value))
             assert reference.is_complete, value
-            budgeted = factorize(abs(value), trial_limit=TRIAL_WALL, rho_iters=RHO_BUDGET)
-            if budgeted.is_complete:
-                exact += 1
-                assert set(sols) == pairs(value, divisors(reference)), (field.D, c3, c4)
+            everything = pairs(value, divisors(reference))
+            if rest == 1 or is_probable_prime(rest):
+                complete += 1
+                assert set(sols) == everything, (field.D, c3, c4)
             else:
-                assert sols == [], (field.D, c3, c4)
-    assert small > 100 and large > 100, (small, large)
-    assert exact > 100, (exact, large)
+                partial += 1
+                assert set(sols) <= everything, (field.D, c3, c4)
+                above_wall = sum(e for q, e in reference.factors if q > TRIAL_WALL)
+                two_big_primes += above_wall == 2
+    assert small > 100 and complete > 100 and partial > 100, (small, complete, partial)
+    assert two_big_primes > 0, two_big_primes
 
 
 def test_gen_omega_23_produces_valid_certificates():
@@ -202,11 +214,24 @@ def test_search_prime_frozen_certificates():
     # pins the reproducibility contract across releases; update only with
     # a deliberate generator change
     cert = search_prime(F2, GenConfig(target_bits=32, seed=2024))
-    assert cert.c == (-32233, -73, -2266, 2729)
-    assert cert.p == 1054300567
+    assert cert.c == (-94799, 1, 118, 201)
+    assert cert.p == 8987134727
     cert5 = search_prime(F5, GenConfig(target_bits=32, seed=2024))
     assert cert5.c == (-14999, 30020, -510, 188)
     assert cert5.p == 1127630233
+
+
+def test_search_runs_no_rho(monkeypatch):
+    # the search takes its divisors from trial division alone; a rho call
+    # at paper size would cost seconds per pair
+    def no_rho(*args):
+        raise RuntimeError("the prime search ran Brent rho")
+
+    monkeypatch.setattr(integerkit, "_brent_rho", no_rho)
+    for field in (F2, F5):
+        cert = search_prime(field, GenConfig(target_bits=128, seed=0))
+        assert make_certificate(field, cert.c) == cert
+        assert abs(cert.p.bit_length() - 128) <= 2
 
 
 def test_config_preconditions():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmgenus2.cmfield import validate
 from cmgenus2.quartic import (
@@ -162,6 +164,28 @@ def test_norm_residual_agrees_with_ring_on_random_input():
             p_part, z_part = norm_residual(c, field)
             u = QuarticInt(*c)
             assert mul(u, conj_complex(u), field).coords() == (p_part, z_part, 0, 0)
+
+
+@st.composite
+def wide_coordinates(draw) -> tuple[int, int, int, int]:
+    """Four signed coordinates, each of a width drawn evenly up to 300
+    bits with random lower bits; plain st.integers favours small values."""
+    rnd = draw(st.randoms())
+    out = []
+    for _ in range(4):
+        bits = draw(st.integers(0, 300))
+        out.append(rnd.choice((1, -1)) * rnd.getrandbits(bits))
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(ALL_FIELDS), c=wide_coordinates())
+def test_norm_residual_is_the_full_ring_product(field, c):
+    # norm_residual checks itself in O_K0 only; the full ring product
+    # stays the independent oracle, its eta-coordinates identically 0
+    p_part, z_part = norm_residual(c, field)
+    u = QuarticInt(*c)
+    assert mul(u, conj_complex(u), field).coords() == (p_part, z_part, 0, 0)
 
 
 def test_det_of_norm_form():
