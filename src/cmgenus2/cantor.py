@@ -10,11 +10,22 @@ squarefree over F_p, p an odd prime between 5 and 61 (every curve with a
 rational Weierstrass point converts to this form, and the structural
 claims under test do not depend on the degree-6 generality).  Divisor
 classes are Mumford pairs (u, v), u monic of degree at most 2,
-deg v < deg u, u | f - v^2, composed with Cantor's algorithm.
+deg v < deg u, u | f - v^2.
+
+``compose`` takes the two generic cases in closed form, after Lange
+("Formulae for arithmetic on genus 2 hyperelliptic curves", AAECC 15,
+2005): the addition of two degree-2 classes with coprime u, and the
+doubling of a degree-2 class with u coprime to 2v, each when the sum has
+degree 2.  Every other input (the identity returns the other operand)
+goes to ``_cantor``, Cantor's algorithm ("Computing in the Jacobian of a
+hyperelliptic curve", Math. Comp. 48, 1987), which stays the reference
+the tests compare the closed forms against.
 
 Groups are small enough (order below ~6200 at p = 61) to enumerate
 outright; the invariant factors are recovered by counting, for each
-prime q, the sizes of the iterated images of multiplication by q.
+prime q, the sizes of the iterated images of multiplication by q.  The
+multiplication maps share one table of doublings, so only their
+additions compose.
 """
 
 from __future__ import annotations
@@ -153,6 +164,90 @@ def is_valid_divisor(d: MumfordDivisor, curve: GenusTwoCurve) -> bool:
 
 
 def compose(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
+    """The reduced sum d1 + d2.
+
+    The identity returns the other operand; generic degree-2 additions
+    and doublings take the explicit formulas of ``_explicit``; every
+    other input goes to ``_cantor``.
+    """
+    if d1 == IDENTITY:
+        return d2
+    if d2 == IDENTITY:
+        return d1
+    u1, v1 = d1.u, d1.v
+    u2, v2 = d2.u, d2.v
+    if len(u1) == 3 and len(u2) == 3 and (u1 != u2 or v1 == v2):
+        out = _explicit(u1, v1, u2, v2, curve)
+        if out is not None:
+            return out
+    return _cantor(d1, d2, curve)
+
+
+def _explicit(u1: Poly, v1: Poly, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> MumfordDivisor | None:
+    """Degree-2 addition (u1 != u2) or doubling (u1 = u2, v1 = v2) in
+    closed form, or None when the case is not generic.
+
+    With s = s1*x + s0 the slope and l = v1 + s*u1, the sum is
+    u3 = monic((f - l^2) / (u1*u2)), v3 = -l mod u3.  Addition solves
+    s*u1 = v2 - v1 mod u2; doubling solves 2*v1*s = (f - v1^2)/u1 mod u1.
+    Both are 2x2 systems whose determinant is a resultant, res(u1, u2)
+    or res(u1, 2*v1); a zero determinant, or s1 = 0 (deg u3 < 2), is not
+    generic.  The division by u1*u2 checks its remainder.
+    """
+    p = curve.p
+    f0, f1, f2, f3, f4, _ = curve.f
+    a0, a1, _ = u1
+    c0, c1 = (v1 + (0, 0))[:2]
+    b0, b1, _ = u2
+    if u1 != u2:
+        # s*(u1 mod u2) = w mod u2 with u1 mod u2 = e1*x + e0
+        d0, d1 = (v2 + (0, 0))[:2]
+        e1, e0 = a1 - b1, a0 - b0
+        w1, w0 = d1 - c1, d0 - c0
+    else:
+        # k = (f - v1^2) / u1 = x^3 + k2*x^2 + k1*x + k0 by synthetic
+        # division, then w = k mod u1
+        k2 = f4 - a1
+        k1 = f3 - a0 - k2 * a1
+        k0 = f2 - c1 * c1 - k2 * a0 - k1 * a1
+        e1, e0 = 2 * c1, 2 * c0
+        w1 = a1 * a1 - a0 - k2 * a1 + k1
+        w0 = a1 * a0 - k2 * a0 + k0
+    # (s1*x + s0)*(e1*x + e0) mod (x^2 + b1*x + b0) = w1*x + w0
+    m = e0 - e1 * b1
+    det = (m * e0 + e1 * e1 * b0) % p
+    if det == 0:
+        return None
+    inv = pow(det, -1, p)
+    s1 = (w1 * e0 - w0 * e1) * inv % p
+    if s1 == 0:
+        return None
+    s0 = (w0 * m + w1 * e1 * b0) * inv % p
+    # l = s1*x^3 + l2*x^2 + l1*x + l0 = v1 + s*u1; f - l^2 divided by
+    # U = u1*u2 leaves the quotient h2*x^2 + h1*x + h0 and remainder r
+    l2 = (s1 * a1 + s0) % p
+    l1 = (s1 * a0 + s0 * a1 + c1) % p
+    l0 = (s0 * a0 + c0) % p
+    U3, U2, U1, U0 = a1 + b1, a0 + b0 + a1 * b1, a1 * b0 + a0 * b1, a0 * b0
+    h2 = -s1 * s1
+    h1 = 1 - 2 * s1 * l2 - h2 * U3
+    h0 = (f4 - l2 * l2 - 2 * s1 * l1 - h2 * U2 - h1 * U3) % p
+    r3 = f3 - 2 * (s1 * l0 + l2 * l1) - h2 * U1 - h1 * U2 - h0 * U3
+    r2 = f2 - l1 * l1 - 2 * l2 * l0 - h2 * U0 - h1 * U1 - h0 * U2
+    r1 = f1 - 2 * l1 * l0 - h1 * U0 - h0 * U1
+    r0 = f0 - l0 * l0 - h0 * U0
+    if r3 % p or r2 % p or r1 % p or r0 % p:
+        raise RuntimeError("u1*u2 does not divide f - l^2")
+    # u3 = monic quotient = x^2 + t1*x + t0, v3 = -l mod u3
+    inv = pow(h2, -1, p)
+    t1 = h1 * inv % p
+    t0 = h0 * inv % p
+    x3 = s1 * (t1 * t1 - t0) - l2 * t1 + l1
+    x0 = s1 * t1 * t0 - l2 * t0 + l0
+    return MumfordDivisor((t0, t1, 1), _trim([-x0 % p, -x3 % p]))
+
+
+def _cantor(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
     """Cantor composition followed by reduction to degree <= 2."""
     p, f = curve.p, curve.f
     u1, v1 = d1.u, d1.v
@@ -247,16 +342,29 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
     iterated images of multiplication by q: with T_j the number of
     elements killed by q^j, the count of factors divisible by q^j is
     log_q(T_j / T_{j-1}).
+
+    Multiplication by q runs as a binary ladder over element indices:
+    doublings are lookups in one table of 2*e built up front, so only
+    the additions compose.
     """
     elements = all_divisors(curve)
     N = len(elements)
     index = {d: i for i, d in enumerate(elements)}
     if len(index) != N:
         raise RuntimeError("divisor enumeration produced duplicates")
+    dbl = [index[compose(d, d, curve)] for d in elements]
 
     exponents_by_prime: dict[int, list[int]] = {}
     for q, _ in factorize(N).factors:
-        phi = [index[scalar_mul(q, d, curve)] for d in elements]
+        bits = bin(q)[3:]  # below the leading bit, which takes the element itself
+        phi = []
+        for i, d in enumerate(elements):
+            acc = i
+            for bit in bits:
+                acc = dbl[acc]
+                if bit == "1":
+                    acc = index[compose(elements[acc], d, curve)]
+            phi.append(acc)
         image = list(range(N))
         sizes = [N]
         while True:

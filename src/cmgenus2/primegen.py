@@ -98,11 +98,18 @@ def make_certificate(field: ValidatedField, c: tuple[int, int, int, int]) -> Ome
     p, residual = norm_residual(c, field)
     if residual != 0:
         raise InvalidOmega(f"norm of {c} is irrational (xi-component {residual})")
+    cert = _certificate(field, c, p)
+    if p <= 2 or p % 2 == 0 or not is_probable_prime(p):
+        raise CompositeP(f"norm {p} is not an odd prime")
+    return cert
+
+
+def _certificate(field: ValidatedField, c: tuple[int, int, int, int], p: int) -> OmegaCertificate:
+    """The certificate for c with rational norm p, once gcd(c3, c4) is
+    found to have trivial odd part (InvalidOmega otherwise)."""
     g34 = math.gcd(c[2], c[3])
     if odd_part(g34) != 1:
         raise InvalidOmega(f"gcd(c3, c4) = {g34} has a nontrivial odd part")
-    if p <= 2 or p % 2 == 0 or not is_probable_prime(p):
-        raise CompositeP(f"norm {p} is not an odd prime")
     return OmegaCertificate(field, c, p, g34)
 
 
@@ -226,8 +233,8 @@ def search_prime(field: ValidatedField, cfg: GenConfig) -> OmegaCertificate:
             if abs(p.bit_length() - cfg.target_bits) > 2:
                 continue
             tested += 1
-            if is_probable_prime(p):
-                return make_certificate(field, c)
+            if is_probable_prime(p):  # the loop has checked the norm and the primality
+                return _certificate(field, c, p)
             if tested >= MAX_CANDIDATES:
                 raise SearchExhausted(f"no prime after {tested} candidates")
     raise SearchExhausted(f"no candidate with {cfg.target_bits}-bit norm after {pair_cap} pairs")

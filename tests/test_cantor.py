@@ -1,11 +1,15 @@
+import math
 import random
+from collections import Counter
 
 import pytest
 
+from cmgenus2 import cantor
 from cmgenus2.cantor import (
     GenusTwoCurve,
     IDENTITY,
     MumfordDivisor,
+    _cantor,
     all_divisors,
     compose,
     enumerate_jacobian,
@@ -105,6 +109,82 @@ def test_closure():
             assert compose(a, b, C5) in ds
 
 
+FALLBACKS = ("identity", "degree < 2", "u1 = u2, v1 != v2", "zero resultant", "s1 = 0")
+
+
+def _fallback_reason(a, b, curve, reference):
+    """Why compose leaves (a, b) to its generic path, or None for the
+    explicit formulas; ``reference`` is the generic sum."""
+    p = curve.p
+    if IDENTITY in (a, b):
+        return "identity"
+    if len(a.u) < 3 or len(b.u) < 3:
+        return "degree < 2"
+    if a.u == b.u and a.v != b.v:
+        return "u1 = u2, v1 != v2"
+    other = b.u if a.u != b.u else p_add(a.v, a.v, p)  # res(u1, u2) or res(u, 2v)
+    if len(p_xgcd(a.u, other, p)[0]) != 1:
+        return "zero resultant"
+    if len(reference.u) < 3:  # deg u3 = 2 exactly when s1 != 0
+        return "s1 = 0"
+    return None
+
+
+def _check_against_cantor(monkeypatch, curve, pairs, reasons):
+    """compose equals _cantor on every pair, and calls it exactly on the
+    non-generic ones (identity returns the other operand)."""
+    fallbacks = []
+
+    def spy(a, b, c):
+        fallbacks.append((a, b))
+        return _cantor(a, b, c)
+
+    monkeypatch.setattr(cantor, "_cantor", spy)
+    for a, b in pairs:
+        fallbacks.clear()
+        reference = _cantor(a, b, curve)
+        reason = _fallback_reason(a, b, curve, reference)
+        assert compose(a, b, curve) == reference, (curve, a, b)
+        assert fallbacks == ([] if reason in (None, "identity") else [(a, b)]), (a, b, reason)
+        reasons[reason] += 1
+
+
+def test_compose_matches_cantor_on_every_pair(monkeypatch):
+    reasons = Counter()
+    # groups of order 36, 81 and 70
+    for curve in (C5, GenusTwoCurve(7, (3, 1, 0, 0, 0, 1)), GenusTwoCurve(11, (8, 7, 10, 3, 1, 1))):
+        ds = all_divisors(curve)
+        _check_against_cantor(monkeypatch, curve, [(a, b) for a in ds for b in ds], reasons)
+    assert all(reasons[r] for r in FALLBACKS), reasons
+    assert reasons[None] > sum(reasons[r] for r in FALLBACKS)
+
+
+def test_compose_matches_cantor_on_random_pairs(monkeypatch):
+    rng = random.Random(47)
+    for p in (31, 61):
+        curve = random_curve(rng, pmax=p, pmin=p)
+        ds = all_divisors(curve)
+        pairs = [(rng.choice(ds), rng.choice(ds)) for _ in range(1500)]
+        pairs += [(d, d) for d in rng.sample(ds, 500)]
+        reasons = Counter()
+        _check_against_cantor(monkeypatch, curve, pairs, reasons)
+        assert reasons[None] > 1500, reasons
+
+
+def test_explicit_formulas_check_their_division(monkeypatch):
+    # (x^2 + 1, 1) is not on C5: f - v^2 = x^5 + x - 1 = 2x - 1 mod x^2 + 1
+    bogus = MumfordDivisor((1, 0, 1), (1,))
+    assert not is_valid_divisor(bogus, C5)
+
+    def generic(*args):
+        raise AssertionError("left to the generic path")
+
+    monkeypatch.setattr(cantor, "_cantor", generic)
+    for other in (bogus, MumfordDivisor((1, 1, 1), (2,))):  # doubling, addition
+        with pytest.raises(RuntimeError, match="does not divide"):
+            compose(bogus, other, C5)
+
+
 def test_element_orders_divide_group_order():
     N, _ = enumerate_jacobian(C5)
     for d in all_divisors(C5):
@@ -124,8 +204,8 @@ def test_enumerate_reference_curve():
 
 def test_order_against_point_count_identity():
     rng = random.Random(44)
-    for _ in range(12):
-        curve = random_curve(rng, pmax=23)
+    for pmin, pmax in [(5, 23)] * 12 + [(37, 61)] * 3:
+        curve = random_curve(rng, pmax=pmax, pmin=pmin)
         N, _ = enumerate_jacobian(curve)
         assert N == point_count_order(curve), curve
 
@@ -141,16 +221,15 @@ def test_enumeration_at_largest_supported_field():
 
 def test_torsion_counts_match_structure():
     # number of d-torsion elements is prod_i gcd(d, d_i)
+    # (scalar_mul does not use enumerate_jacobian's doubling table)
     rng = random.Random(45)
     for _ in range(6):
-        curve = random_curve(rng, pmax=13)
+        curve = random_curve(rng, pmax=31)
         _, factors = enumerate_jacobian(curve)
         ds = all_divisors(curve)
-        for d in (2, 3):
+        for d in range(2, 13):
             count = sum(1 for x in ds if scalar_mul(d, x, curve) == IDENTITY)
             expect = 1
-            import math
-
             for fac in factors:
                 expect *= math.gcd(d, fac)
             assert count == expect
@@ -167,8 +246,8 @@ def test_padded_invariant_factors():
 
 def test_structure_theorem_on_random_curves():
     rng = random.Random(46)
-    for _ in range(10):
-        curve = random_curve(rng, pmax=19)
+    for pmin, pmax in [(5, 19)] * 10 + [(37, 61)] * 3:
+        curve = random_curve(rng, pmax=pmax, pmin=pmin)
         N, factors = enumerate_jacobian(curve)
         assert hasse_weil_check(N, curve.p)
         padded = padded_invariant_factors(factors)
@@ -190,8 +269,6 @@ def test_three_invariant_factors_frozen():
     assert factors == [2, 2, 16]
     assert padded_invariant_factors(factors) == (1, 2, 2, 16)
     assert (curve.p - 1) % 2 == 0
-    import math
-
     ds = all_divisors(curve)
     for d in (2, 4, 8, 16):
         count = sum(1 for x in ds if scalar_mul(d, x, curve) == IDENTITY)
