@@ -143,10 +143,10 @@ def field_view(field: ValidatedField, basis: Basis, raw_ab: tuple[int, int]) -> 
         "Q": field.Q,
         "primitive": field.primitive,
     }
-    alt = cmfield.field_params_to_sqrtd(field.params)
+    alt = cmfield.field_params_to_sqrtd(field.D, field.a, field.b)
     if field.case is cmfield.FieldCase.CASE1 and alt is not None:
         # the bound evaluated on the sqrt(D)-basis constants, for reference
-        view["Q_sqrtD_basis"] = cmfield.compute_Q(cmfield.CMFieldParams(field.D, alt[0], alt[1]))
+        view["Q_sqrtD_basis"] = cmfield.compute_Q(field.D, *alt)
     return view
 
 
@@ -191,7 +191,7 @@ def cmd_analyze(args) -> int:
     field, basis, raw = read_config(args.config)
     c_input = _parse_omega(args.omega)
     omega_basis = Basis(args.omega_basis)
-    c_xi = cmfield.basis_convert(c_input, omega_basis, Basis.XI, field.params)
+    c_xi = cmfield.basis_convert(c_input, omega_basis, Basis.XI, field.D)
     cert = make_certificate(field, c_xi)
     warnings = []
     if not field.primitive:
@@ -242,7 +242,7 @@ def _verify_example(ex: golden.ReferenceExample, corrupt: bool) -> list[dict]:
     printed = ex.omega_printed
     if corrupt:
         printed = (printed[0], printed[1] + 1, printed[2], printed[3])
-    converted = cmfield.basis_convert(printed, ex.printed_basis, Basis.XI, field.params)
+    converted = cmfield.basis_convert(printed, ex.printed_basis, Basis.XI, field.D)
     if not corrupt:
         check("basis conversion", converted == ex.omega_xi, ex.omega_xi, converted)
 

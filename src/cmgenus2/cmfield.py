@@ -13,6 +13,12 @@ invariant factor of the Jacobian group.
 
 Only class-number-one real subfields are supported, enforced through an
 explicit allowlist of D values.
+
+``ValidatedField`` is the one field record: D, a, b, Q and the
+primitivity flag, with ``validate`` its only constructor.  The helpers on
+a raw triple (``radicand_norm``, ``is_primitive``, ``compute_Q``,
+``field_params_to_sqrtd``) and ``basis_convert`` take plain integers and
+tell the two cases apart by D mod 4.
 """
 
 from __future__ import annotations
@@ -65,46 +71,17 @@ class Basis(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CMFieldParams:
-    """The triple (D, a, b) with a, b on the xi-basis."""
-
+class ValidatedField:
     D: int
     a: int
     b: int
+    Q: int
+    primitive: bool
     # derived from D once per field; the ring arithmetic reads it per product
     case: FieldCase = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "case", FieldCase.CASE1 if self.D % 4 == 1 else FieldCase.CASE23)
-
-    def radicand_norm(self) -> int:
-        """Norm of a + b*xi from K0 down to Q (an integer in both cases)."""
-        if self.case is FieldCase.CASE23:
-            return self.a * self.a - self.b * self.b * self.D
-        return self.a * self.a + self.a * self.b + self.b * self.b * (1 - self.D) // 4
-
-
-@dataclass(frozen=True)
-class ValidatedField:
-    params: CMFieldParams
-    Q: int
-    primitive: bool
-    case: FieldCase = dataclasses.field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "case", self.params.case)
-
-    @property
-    def D(self) -> int:
-        return self.params.D
-
-    @property
-    def a(self) -> int:
-        return self.params.a
-
-    @property
-    def b(self) -> int:
-        return self.params.b
 
 
 def _is_square(n: int) -> bool:
@@ -143,8 +120,7 @@ def validate(D: int, a: int, b: int) -> ValidatedField:
     if D not in SUPPORTED_D:
         raise UnsupportedD(f"D={D} is not on the class-number-one allowlist")
 
-    params = CMFieldParams(D, a, b)
-    if params.case is FieldCase.CASE23:
+    if D % 4 != 1:
         positive = a > 0 and a * a > b * b * D
     else:
         s = 2 * a + b
@@ -152,32 +128,38 @@ def validate(D: int, a: int, b: int) -> ValidatedField:
     if not positive:
         raise NotTotallyPositive(f"a + b*xi with (D,a,b)=({D},{a},{b}) is not totally positive")
 
-    return ValidatedField(params, compute_Q(params), is_primitive(params))
+    return ValidatedField(D, a, b, compute_Q(D, a, b), is_primitive(D, a, b))
 
 
 def require_primitive(field: ValidatedField) -> ValidatedField:
     if not field.primitive:
         raise NotPrimitive(
             f"(D,a,b)=({field.D},{field.a},{field.b}) is biquadratic: "
-            f"norm {field.params.radicand_norm()} is a perfect square"
+            f"norm {radicand_norm(field.D, field.a, field.b)} is a perfect square"
         )
     return field
 
 
-def is_primitive(params: CMFieldParams) -> bool:
+def radicand_norm(D: int, a: int, b: int) -> int:
+    """Norm of a + b*xi from K0 down to Q (an integer in both cases)."""
+    if D % 4 != 1:
+        return a * a - b * b * D
+    return a * a + a * b + b * b * (1 - D) // 4
+
+
+def is_primitive(D: int, a: int, b: int) -> bool:
     """True unless K is Galois with group Z/2 x Z/2.
 
     K is biquadratic exactly when the norm of -eta^2 = a + b*xi to Q is a
     rational square; the non-square cases (cyclic Galois or non-Galois)
     are the primitive ones.
     """
-    return not _is_square(params.radicand_norm())
+    return not _is_square(radicand_norm(D, a, b))
 
 
-def compute_Q(params: CMFieldParams) -> int:
+def compute_Q(D: int, a: int, b: int) -> int:
     """The largest odd prime bound from the field constants."""
-    D, a, b = params.D, params.a, params.b
-    if params.case is FieldCase.CASE23:
+    if D % 4 != 1:
         return max(a, D, a * a - b * b * D)
     return max(a, D, 4 * a * (a + b) - b * b * (D - 1), a * D + 2 * b * (D - 1))
 
@@ -186,7 +168,7 @@ def basis_convert(
     coeffs: tuple[int, int, int, int],
     frm: Basis,
     to: Basis,
-    params: CMFieldParams,
+    D: int,
 ) -> tuple[int, int, int, int]:
     """Convert element coordinates between the xi- and sqrt(D)-bases.
 
@@ -198,7 +180,7 @@ def basis_convert(
     """
     if len(coeffs) != 4:
         raise ValueError("expected 4 coordinates")
-    if frm == to or params.case is FieldCase.CASE23:
+    if frm == to or D % 4 != 1:
         return tuple(coeffs)  # type: ignore[return-value]
     c1, c2, c3, c4 = coeffs
     if frm is Basis.SQRT_D:
@@ -217,10 +199,10 @@ def field_params_from_basis(D: int, a: int, b: int, basis: Basis) -> tuple[int, 
     return a - b, 2 * b
 
 
-def field_params_to_sqrtd(params: CMFieldParams) -> tuple[int, int] | None:
+def field_params_to_sqrtd(D: int, a: int, b: int) -> tuple[int, int] | None:
     """(a', b') with a + b*xi = a' + b'*sqrt(D), or None when non-integral."""
-    if params.case is FieldCase.CASE23:
-        return params.a, params.b
-    if params.b % 2:
+    if D % 4 != 1:
+        return a, b
+    if b % 2:
         return None
-    return params.a + params.b // 2, params.b // 2
+    return a + b // 2, b // 2

@@ -110,7 +110,7 @@ def load_examples() -> tuple[ReferenceExample, ...]:
     """
     for ex in EXAMPLES:
         field = validate(ex.D, ex.a, ex.b)
-        converted = basis_convert(ex.omega_printed, ex.printed_basis, Basis.XI, field.params)
+        converted = basis_convert(ex.omega_printed, ex.printed_basis, Basis.XI, field.D)
         if converted != ex.omega_xi:
             raise AssertionError(f"{ex.name}: basis conversion drifted: {converted}")
         if Factorization(ex.order_factors).value() != ex.published_order:

@@ -50,9 +50,6 @@ class QuarticInt:
             self.x0 - other.x0, self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3
         )
 
-    def __neg__(self) -> "QuarticInt":
-        return QuarticInt(-self.x0, -self.x1, -self.x2, -self.x3)
-
 
 ONE = QuarticInt(1, 0, 0, 0)
 

@@ -34,13 +34,15 @@ from dataclasses import dataclass
 from .integerkit import Factorization, factorize, valuation
 from .primegen import OmegaCertificate
 
+MAX_STRUCTURES = 10**6  # candidate structures before the enumeration gives up
+
 
 class IncompleteFactorization(ValueError):
     """The factorization of N must be complete to enumerate structures."""
 
 
 class CombinatorialBlowup(RuntimeError):
-    """More candidates than the configured cap."""
+    """More candidates than MAX_STRUCTURES."""
 
 
 @dataclass(frozen=True, order=True)
@@ -134,7 +136,6 @@ def enumerate_structures(
     n_fact: Factorization,
     p: int,
     admissible: set[int],
-    cap: int = 10**6,
 ) -> StructureReport:
     """All candidate tuples for a Jacobian of order ``n_fact`` over F_p.
 
@@ -152,8 +153,8 @@ def enumerate_structures(
         powers = [tuple(q**e for e in chain) for chain in chains]
         per_prime.append(powers)
         total *= len(powers)
-        if total > cap:
-            raise CombinatorialBlowup(f"more than {cap} candidate structures")
+        if total > MAX_STRUCTURES:
+            raise CombinatorialBlowup(f"more than {MAX_STRUCTURES} candidate structures")
     out = []
     for combo in itertools.product(*per_prime):
         n = [1, 1, 1, 1]

@@ -120,7 +120,7 @@ def test_criterion_2_example2_golden():
     assert field.Q == 176
     converted = basis_convert(
         (-119599766860084, 5279155, 13860963299, 4898901569),
-        Basis.SQRT_D, Basis.XI, field.params,
+        Basis.SQRT_D, Basis.XI, field.D,
     )
     assert converted == (-119599772139239, 10558310, 8962061730, 9797803138)
     cert = make_certificate(field, converted)

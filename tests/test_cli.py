@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cmgenus2 import frobenius, golden, integerkit, primegen
+from cmgenus2 import frobenius, golden, integerkit, primegen, structure
 from cmgenus2.cli import main
 
 
@@ -157,6 +157,18 @@ def test_analyze_toy(capsys, field2_cfg):
     assert report["N"] == "3356"
     assert report["candidates"] == [["1", "1", "1", "3356"], ["1", "1", "2", "1678"]]
     assert report["guaranteed_cyclic"] == "1678"
+
+
+def test_analyze_combinatorial_blowup_exit_code(monkeypatch, capsys, field2_cfg):
+    # the toy omega has 2 candidate structures, more than a cap of 1
+    monkeypatch.setattr(structure, "MAX_STRUCTURES", 1)
+    assert main(["analyze", field2_cfg, "--omega", "7,-1,2,1", "--check-oracle", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "candidate structures" in lines[0]
+    assert "Traceback" not in captured.err
 
 
 def test_analyze_invalid_omega(capsys, field2_cfg):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cmgenus2.cmfield import (
     Basis,
-    CMFieldParams,
     FieldCase,
     NonIntegralConversion,
     NotTotallyPositive,
@@ -62,9 +61,9 @@ def test_case1_total_positivity():
 
 
 def test_primitivity():
-    assert is_primitive(CMFieldParams(2, 2, 1))  # norm 2, not a square
-    assert not is_primitive(CMFieldParams(2, 2, 0))  # norm 4 = 2^2, biquadratic
-    assert is_primitive(CMFieldParams(5, 6, 2))  # norm 44
+    assert is_primitive(2, 2, 1)  # norm 2, not a square
+    assert not is_primitive(2, 2, 0)  # norm 4 = 2^2, biquadratic
+    assert is_primitive(5, 6, 2)  # norm 44
 
 
 def test_non_primitive_is_flagged_not_fatal():
@@ -75,9 +74,9 @@ def test_non_primitive_is_flagged_not_fatal():
 
 
 def test_compute_Q_values():
-    assert compute_Q(CMFieldParams(2, 2, 1)) == 2
-    assert compute_Q(CMFieldParams(5, 6, 2)) == max(6, 5, 192 - 16, 30 + 16) == 176
-    assert compute_Q(CMFieldParams(3, 5, 2)) == 13
+    assert compute_Q(2, 2, 1) == 2
+    assert compute_Q(5, 6, 2) == max(6, 5, 192 - 16, 30 + 16) == 176
+    assert compute_Q(3, 5, 2) == 13
 
 
 def test_Q_dominates_a_and_D():
@@ -96,56 +95,51 @@ def test_norm_terms_positive_on_validated_fields():
 
 
 def test_basis_convert_case23_identity():
-    params = CMFieldParams(2, 2, 1)
     t = (7, -1, 2, 1)
-    assert basis_convert(t, Basis.SQRT_D, Basis.XI, params) == t
-    assert basis_convert(t, Basis.XI, Basis.SQRT_D, params) == t
+    assert basis_convert(t, Basis.SQRT_D, Basis.XI, 2) == t
+    assert basis_convert(t, Basis.XI, Basis.SQRT_D, 2) == t
 
 
 def test_basis_convert_case1_reference_value():
-    params = CMFieldParams(5, 6, 2)
     printed = (-119599766860084, 5279155, 13860963299, 4898901569)
-    converted = basis_convert(printed, Basis.SQRT_D, Basis.XI, params)
+    converted = basis_convert(printed, Basis.SQRT_D, Basis.XI, 5)
     assert converted == (-119599772139239, 10558310, 8962061730, 9797803138)
     # round trip
-    assert basis_convert(converted, Basis.XI, Basis.SQRT_D, params) == printed
+    assert basis_convert(converted, Basis.XI, Basis.SQRT_D, 5) == printed
 
 
 def test_basis_convert_rejects_non_integral():
-    params = CMFieldParams(5, 6, 2)
     with pytest.raises(NonIntegralConversion):
-        basis_convert((1, 1, 0, 0), Basis.XI, Basis.SQRT_D, params)
+        basis_convert((1, 1, 0, 0), Basis.XI, Basis.SQRT_D, 5)
 
 
 def test_basis_convert_round_trip_random():
     import random
 
     rng = random.Random(11)
-    params = CMFieldParams(13, 7, 2)
     for _ in range(500):
         t = tuple(rng.randrange(-10**6, 10**6) for _ in range(4))
-        x = basis_convert(t, Basis.SQRT_D, Basis.XI, params)
-        assert basis_convert(x, Basis.XI, Basis.SQRT_D, params) == t
+        x = basis_convert(t, Basis.SQRT_D, Basis.XI, 13)
+        assert basis_convert(x, Basis.XI, Basis.SQRT_D, 13) == t
 
 
 COORDINATES = st.integers(-2**300, 2**300)
 
 
 @settings(max_examples=200, deadline=None)
-@given(params=st.sampled_from([CMFieldParams(2, 2, 1), CMFieldParams(3, 5, 2),
-                               CMFieldParams(5, 6, 2), CMFieldParams(13, 7, 2)]),
+@given(D=st.sampled_from([2, 3, 5, 13]),
        c=st.tuples(COORDINATES, COORDINATES, COORDINATES, COORDINATES))
-def test_basis_round_trip_property(params, c):
+def test_basis_round_trip_property(D, c):
     # xi -> sqrt(D) -> xi; for D = 1 (mod 4) odd xi-coefficients have no
     # integral sqrt(D) form, and the other direction always does
-    if params.case is FieldCase.CASE1 and (c[1] % 2 or c[3] % 2):
+    if D % 4 == 1 and (c[1] % 2 or c[3] % 2):
         with pytest.raises(NonIntegralConversion):
-            basis_convert(c, Basis.XI, Basis.SQRT_D, params)
+            basis_convert(c, Basis.XI, Basis.SQRT_D, D)
     else:
-        s = basis_convert(c, Basis.XI, Basis.SQRT_D, params)
-        assert basis_convert(s, Basis.SQRT_D, Basis.XI, params) == c
-    x = basis_convert(c, Basis.SQRT_D, Basis.XI, params)
-    assert basis_convert(x, Basis.XI, Basis.SQRT_D, params) == c
+        s = basis_convert(c, Basis.XI, Basis.SQRT_D, D)
+        assert basis_convert(s, Basis.SQRT_D, Basis.XI, D) == c
+    x = basis_convert(c, Basis.SQRT_D, Basis.XI, D)
+    assert basis_convert(x, Basis.XI, Basis.SQRT_D, D) == c
 
 
 def test_field_params_from_basis():
@@ -156,6 +150,16 @@ def test_field_params_from_basis():
 
 
 def test_field_params_to_sqrtd():
-    assert field_params_to_sqrtd(CMFieldParams(5, 6, 2)) == (7, 1)
-    assert field_params_to_sqrtd(CMFieldParams(5, 6, 1)) is None
-    assert field_params_to_sqrtd(CMFieldParams(2, 2, 1)) == (2, 1)
+    assert field_params_to_sqrtd(5, 6, 2) == (7, 1)
+    assert field_params_to_sqrtd(5, 6, 1) is None
+    assert field_params_to_sqrtd(2, 2, 1) == (2, 1)
+
+
+def test_field_record_contract():
+    field = validate(5, 6, 2)
+    assert (field.D, field.a, field.b, field.Q, field.primitive) == (5, 6, 2, 176, True)
+    assert field.case is FieldCase.CASE1
+    again = validate(5, 6, 2)
+    assert again == field and hash(again) == hash(field)
+    assert "case" not in repr(field)
+    assert not hasattr(field, "params")

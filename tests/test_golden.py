@@ -23,7 +23,7 @@ def test_recorded_conversions():
     for ex in golden.EXAMPLES:
         field = validate(ex.D, ex.a, ex.b)
         assert (
-            basis_convert(ex.omega_printed, ex.printed_basis, Basis.XI, field.params)
+            basis_convert(ex.omega_printed, ex.printed_basis, Basis.XI, field.D)
             == ex.omega_xi
         )
 

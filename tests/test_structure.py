@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cmgenus2 import integerkit
+from cmgenus2 import integerkit, structure
 from cmgenus2.cmfield import validate
 from cmgenus2.integerkit import Factorization, divisors, factorize
 from cmgenus2.primegen import make_certificate
@@ -191,10 +191,11 @@ def test_every_candidate_satisfies_invariants():
         assert odd_primes_ok(n2, adm)
 
 
-def test_combinatorial_cap():
+def test_combinatorial_cap(monkeypatch):
+    monkeypatch.setattr(structure, "MAX_STRUCTURES", 10)
     n_fact = factorize(2**40)
-    with pytest.raises(CombinatorialBlowup):
-        enumerate_structures(n_fact, 2**20 + 1, {2}, cap=10)
+    with pytest.raises(CombinatorialBlowup, match="more than 10 candidate structures"):
+        enumerate_structures(n_fact, 2**20 + 1, {2})
 
 
 def test_prime_of_p_minus_1_beyond_trial_wall_stays_admissible():
