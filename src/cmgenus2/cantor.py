@@ -12,14 +12,18 @@ claims under test do not depend on the degree-6 generality).  Divisor
 classes are Mumford pairs (u, v), u monic of degree at most 2,
 deg v < deg u, u | f - v^2.
 
-``compose`` takes the two generic cases in closed form, after Lange
+``compose`` takes nearly every input in closed form, after Lange
 ("Formulae for arithmetic on genus 2 hyperelliptic curves", AAECC 15,
-2005): the addition of two degree-2 classes with coprime u, and the
-doubling of a degree-2 class with u coprime to 2v, each when the sum has
-degree 2.  Every other input (the identity returns the other operand)
-goes to ``_cantor``, Cantor's algorithm ("Computing in the Jacobian of a
-hyperelliptic curve", Math. Comp. 48, 1987), which stays the reference
-the tests compare the closed forms against.
+2005): the addition of two degree-2 classes with coprime u and the
+doubling of a degree-2 class with u coprime to 2v (including s1 = 0,
+where the sum has degree 1); a class plus its negation; a point plus a
+point, itself, or a degree-2 class whose u does not vanish at it; and
+zero resultants, by splitting the degree-2 operand into its two
+rational points.  What remains (a point on a root of the degree-2
+operand, and u1 = u2 with v1 != +-v2) goes to ``_cantor``, Cantor's
+algorithm ("Computing in the Jacobian of a hyperelliptic curve", Math.
+Comp. 48, 1987), which stays the reference the tests compare the closed
+forms against.
 
 Groups are small enough (order below ~6200 at p = 61) to enumerate
 outright; the invariant factors are recovered by counting, for each
@@ -166,33 +170,98 @@ def is_valid_divisor(d: MumfordDivisor, curve: GenusTwoCurve) -> bool:
 def compose(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
     """The reduced sum d1 + d2.
 
-    The identity returns the other operand; generic degree-2 additions
-    and doublings take the explicit formulas of ``_explicit``; every
-    other input goes to ``_cantor``.
+    u1 = u2 with v1 + v2 = 0 gives the identity.  A degree-1 operand takes
+    ``_add_point``, two degree-2 ones ``_explicit``.  A zero resultant there
+    means a rational root r of u2 (addition) or u1 (doubling), and the
+    degree-2 operand splits into the points at r and at its other root s:
+    D1 + D2 = (D1 + (s, v2(s))) + (r, v2(r)), and in doubling v1(r) = 0,
+    so 2*D1 = 2*(s, v1(s)).  A point on a root of the degree-2 operand,
+    and u1 = u2 with v1 != +-v2, go to ``_cantor``.
     """
     if d1 == IDENTITY:
         return d2
     if d2 == IDENTITY:
         return d1
+    p = curve.p
+    if len(d1.u) > len(d2.u):
+        d1, d2 = d2, d1
     u1, v1 = d1.u, d1.v
     u2, v2 = d2.u, d2.v
-    if len(u1) == 3 and len(u2) == 3 and (u1 != u2 or v1 == v2):
+    if u1 == u2 and not p_add(v1, v2, p):
+        return IDENTITY
+    if len(u1) == 2:
+        out = _add_point(-u1[0] % p, v1[0] if v1 else 0, u2, v2, curve)
+    elif u1 != u2 or v1 == v2:
         out = _explicit(u1, v1, u2, v2, curve)
-        if out is not None:
-            return out
-    return _cantor(d1, d2, curve)
+        if out is None and u1 != u2:
+            r = (u2[0] - u1[0]) * pow(u1[1] - u2[1], -1, p) % p
+            s = (-u2[1] - r) % p
+            with_s = compose(d1, _point(s, p_eval(v2, s, p), p), curve)
+            return compose(with_s, _point(r, p_eval(v2, r, p), p), curve)
+        if out is None:
+            s = (v1[0] * pow(v1[1], -1, p) - u1[1]) % p
+            q = _point(s, p_eval(v1, s, p), p)
+            return compose(q, q, curve)
+    else:
+        out = None
+    return _cantor(d1, d2, curve) if out is None else out
+
+
+def _point(a: int, b: int, p: int) -> MumfordDivisor:
+    """The class of the point (a, b): u = x - a, v = b."""
+    return MumfordDivisor((-a % p, 1), (b,) if b else ())
+
+
+def _add_point(a: int, b: int, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> MumfordDivisor | None:
+    """The point (a, b) plus (u2, v2), not its negation, in closed form;
+    None when a is a root of a degree-2 u2.
+
+    Another point (a2, b2), or the same one (b != 0), gives
+    u3 = (x - a)(x - a2) and v3 = b + lam*(x - a), with lam the slope of
+    the chord or f'(a)/(2b).  A degree-2 u2 with u2(a) != 0 gives
+    v = v2 + k*u2, k = (b - v2(a))/u2(a), so that v interpolates both
+    classes; u3 = (f - v^2) / ((x - a)*u2), whose remainder is checked,
+    and v3 = -v mod u3.
+    """
+    p = curve.p
+    c0, c1 = (v2 + (0, 0))[:2]
+    if len(u2) == 2:
+        a2 = -u2[0] % p
+        if a2 != a:
+            lam = (c0 - b) * pow(a2 - a, -1, p) % p
+        else:
+            lam = p_eval(p_deriv(curve.f, p), a, p) * pow(2 * b, -1, p) % p
+        return MumfordDivisor((a * a2 % p, -(a + a2) % p, 1), _trim([(b - lam * a) % p, lam]))
+    b0, b1, _ = u2
+    ua = (a * a + b1 * a + b0) % p
+    if ua == 0:
+        return None
+    k = (b - c0 - c1 * a) * pow(ua, -1, p) % p
+    w1, w0 = c1 + k * b1, c0 + k * b0
+    # (x - a)*u2 = x^3 + U2*x^2 + U1*x + U0; the quotient of f - v^2 by
+    # it is x^2 + q1*x + q0, the remainder r2*x^2 + r1*x + r0
+    f0, f1, f2, f3, f4, _ = curve.f
+    U2, U1, U0 = b1 - a, b0 - a * b1, -a * b0
+    q1 = (f4 - k * k - U2) % p
+    q0 = (f3 - 2 * k * w1 - U1 - q1 * U2) % p
+    r2 = f2 - w1 * w1 - 2 * k * w0 - U0 - q1 * U1 - q0 * U2
+    r1 = f1 - 2 * w1 * w0 - q1 * U0 - q0 * U1
+    r0 = f0 - w0 * w0 - q0 * U0
+    if r2 % p or r1 % p or r0 % p:
+        raise RuntimeError("(x - a)*u2 does not divide f - v^2")
+    return MumfordDivisor((q0, q1, 1), _trim([(k * q0 - w0) % p, (k * q1 - w1) % p]))
 
 
 def _explicit(u1: Poly, v1: Poly, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> MumfordDivisor | None:
     """Degree-2 addition (u1 != u2) or doubling (u1 = u2, v1 = v2) in
-    closed form, or None when the case is not generic.
+    closed form, or None when the determinant is zero.
 
     With s = s1*x + s0 the slope and l = v1 + s*u1, the sum is
     u3 = monic((f - l^2) / (u1*u2)), v3 = -l mod u3.  Addition solves
     s*u1 = v2 - v1 mod u2; doubling solves 2*v1*s = (f - v1^2)/u1 mod u1.
     Both are 2x2 systems whose determinant is a resultant, res(u1, u2)
-    or res(u1, 2*v1); a zero determinant, or s1 = 0 (deg u3 < 2), is not
-    generic.  The division by u1*u2 checks its remainder.
+    or res(u1, 2*v1).  When s1 = 0 the quotient is x + h0, so the sum
+    has degree 1.  The division by u1*u2 checks its remainder.
     """
     p = curve.p
     f0, f1, f2, f3, f4, _ = curve.f
@@ -220,8 +289,6 @@ def _explicit(u1: Poly, v1: Poly, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> M
         return None
     inv = pow(det, -1, p)
     s1 = (w1 * e0 - w0 * e1) * inv % p
-    if s1 == 0:
-        return None
     s0 = (w0 * m + w1 * e1 * b0) * inv % p
     # l = s1*x^3 + l2*x^2 + l1*x + l0 = v1 + s*u1; f - l^2 divided by
     # U = u1*u2 leaves the quotient h2*x^2 + h1*x + h0 and remainder r
@@ -238,6 +305,8 @@ def _explicit(u1: Poly, v1: Poly, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> M
     r0 = f0 - l0 * l0 - h0 * U0
     if r3 % p or r2 % p or r1 % p or r0 % p:
         raise RuntimeError("u1*u2 does not divide f - l^2")
+    if s1 == 0:  # h2 = 0 and h1 = 1: u3 = x + h0, v3 = -l(-h0)
+        return MumfordDivisor((h0, 1), _trim([-(l2 * h0 * h0 - l1 * h0 + l0) % p]))
     # u3 = monic quotient = x^2 + t1*x + t0, v3 = -l mod u3
     inv = pow(h2, -1, p)
     t1 = h1 * inv % p
@@ -309,30 +378,38 @@ def _sqrt_table(p: int) -> dict[int, list[int]]:
 def all_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
     """Every reduced Mumford pair on the curve."""
     p, f = curve.p, curve.f
-    roots = _sqrt_table(p)
+    roots = _sqrt_table(p)  # each list ascending, without repeats
     out = [IDENTITY]
     # degree 1: u = x - r with v^2 = f(r)
     for r in range(p):
-        for s in sorted(set(roots.get(p_eval(f, r, p), []))):
-            out.append(MumfordDivisor(((-r) % p, 1), (s,) if s else ()))
+        for s in roots.get(p_eval(f, r, p), ()):
+            out.append(_point(r, s, p))
     # degree 2: u = x^2 + u1 x + u0, v = v1 x + v0 with u | f - v^2.
     # Reducing f mod u leaves f1 x + f0; v^2 mod u has linear coefficient
     # 2 v1 v0 - v1^2 u1 and constant v0^2 - v1^2 u0, so for fixed v1 != 0
     # the linear match determines v0 and the constant match is a check;
     # v1 = 0 needs f1 = 0 and v0^2 = f0.
+    lines = [(v1, v1 * v1 % p, pow(2 * v1, -1, p)) for v1 in range(1, p)]
     for u1 in range(p):
         for u0 in range(p):
             u = (u0, u1, 1)
             fr = p_mod(f, u, p)
             f1 = fr[1] if len(fr) > 1 else 0
             f0 = fr[0] if fr else 0
-            for s in sorted(set(roots.get(f0, []))) if f1 == 0 else ():
+            for s in roots.get(f0, ()) if f1 == 0 else ():
                 out.append(MumfordDivisor(u, (s,) if s else ()))
-            for v1 in range(1, p):
-                v0 = (f1 + v1 * v1 * u1) * pow(2 * v1, -1, p) % p
-                if (v0 * v0 - v1 * v1 * u0) % p == f0:
-                    out.append(MumfordDivisor(u, _trim([v0, v1])))
+            for v1, sq, inv in lines:
+                v0 = (f1 + sq * u1) * inv % p
+                if (v0 * v0 - sq * u0) % p == f0:
+                    out.append(MumfordDivisor(u, (v0, v1)))
     return out
+
+
+class _Index(dict):
+    """Element -> index; a sum outside the enumeration is a Cantor fault."""
+
+    def __missing__(self, d: MumfordDivisor) -> int:
+        raise RuntimeError(f"{d} is not an enumerated divisor")
 
 
 def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
@@ -349,7 +426,7 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
     """
     elements = all_divisors(curve)
     N = len(elements)
-    index = {d: i for i, d in enumerate(elements)}
+    index = _Index((d, i) for i, d in enumerate(elements))
     if len(index) != N:
         raise RuntimeError("divisor enumeration produced duplicates")
     dbl = [index[compose(d, d, curve)] for d in elements]
@@ -374,12 +451,13 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
             sizes.append(len(image))
         counts = []
         for j in range(1, len(sizes)):
-            ratio, r = (N // sizes[j]) // (N // sizes[j - 1]), 0
-            while ratio > 1:
-                if ratio % q != 0:
-                    raise RuntimeError(f"image size ratio is not a power of {q}")
+            ratio, rem = divmod(sizes[j - 1], sizes[j])
+            r = 0
+            while ratio % q == 0:
                 ratio //= q
                 r += 1
+            if rem or ratio != 1:
+                raise RuntimeError(f"image size ratio is not a power of {q}")
             counts.append(r)
         # counts[j-1] = number of invariant factors divisible by q^j
         if counts:
@@ -424,41 +502,22 @@ def point_count_order(curve: GenusTwoCurve) -> int:
     give the order as P(1) = 1 - s1 + (s1^2 - s2)/2 - p*s1 + p^2.
     """
     p, f = curve.p, curve.f
+    squares = _sqrt_table(p)
     m1 = 1
     for x in range(p):
         fx = p_eval(f, x, p)
-        if fx == 0:
-            m1 += 1
-        elif pow(fx, (p - 1) // 2, p) == 1:
-            m1 += 2
-    # F_p^2 as F_p[t] / (t^2 - nr), nr a quadratic nonresidue
-    nr = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-
-    def ext_mul(a, b):
-        return ((a[0] * b[0] + a[1] * b[1] % p * nr) % p, (a[0] * b[1] + a[1] * b[0]) % p)
-
-    def ext_pow(a, e):
-        acc = (1, 0)
-        while e:
-            if e & 1:
-                acc = ext_mul(acc, a)
-            a = ext_mul(a, a)
-            e >>= 1
-        return acc
-
+        m1 += 1 if fx == 0 else 2 * (fx in squares)
+    # F_p^2 as F_p[t] / (t^2 - nr), nr a quadratic nonresidue; z = z0 + z1*t
+    # is a square in F_p^2 exactly when its norm z0^2 - nr*z1^2 is one in F_p
+    nr = next(z for z in range(2, p) if z not in squares)
     m2 = 1
-    half = (p * p - 1) // 2
     for a0 in range(p):
         for a1 in range(p):
-            x = (a0, a1)
-            fx = (0, 0)
+            z0 = z1 = 0
             for c in reversed(f):
-                fx = ext_mul(fx, x)
-                fx = ((fx[0] + c) % p, fx[1])
-            if fx == (0, 0):
-                m2 += 1
-            elif ext_pow(fx, half) == (1, 0):
-                m2 += 2
+                z0, z1 = (z0 * a0 + z1 * a1 * nr + c) % p, (z0 * a1 + z1 * a0) % p
+            norm = (z0 * z0 - nr * z1 * z1) % p
+            m2 += 1 if norm == 0 else 2 * (norm in squares)
     s1 = p + 1 - m1
     s2 = p * p + 1 - m2
     return 1 - s1 + (s1 * s1 - s2) // 2 - p * s1 + p * p

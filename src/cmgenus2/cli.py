@@ -12,8 +12,8 @@ Subcommands:
 Exit codes: 0 success, 1 input, usage or validation error, 2 computational
 failure (search exhausted, order not factored within budget, too many
 candidate structures, closed form disagreeing with its oracle,
-verification mismatch, oracle counterexample).  ``main`` maps exceptions
-to exit codes in one place.
+inconsistent Jacobian arithmetic, verification mismatch, oracle
+counterexample).  ``main`` maps exceptions to exit codes in one place.
 All big integers are printed as exact decimal strings in JSON mode.
 """
 
@@ -32,12 +32,10 @@ from .primegen import (
     CompositeP,
     GenConfig,
     InvalidOmega,
-    SearchExhausted,
     make_certificate,
     negate,
     search_prime,
 )
-from .quartic import OracleMismatch
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -409,9 +407,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SearchExhausted, structure.IncompleteFactorization,
-            structure.CombinatorialBlowup, OracleMismatch) as exc:
-        # checked first: IncompleteFactorization is also a ValueError
+    except (RuntimeError, structure.IncompleteFactorization) as exc:
+        # RuntimeError covers SearchExhausted, CombinatorialBlowup,
+        # OracleMismatch and Cantor consistency faults; checked first,
+        # because IncompleteFactorization is also a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except (ValueError, OSError) as exc:

@@ -109,30 +109,39 @@ def test_closure():
             assert compose(a, b, C5) in ds
 
 
-FALLBACKS = ("identity", "degree < 2", "u1 = u2, v1 != v2", "zero resultant", "s1 = 0")
+CLOSED_FORMS = ("negation", "s1 = 0", "point + point", "point doubling", "point + degree 2",
+                "split addition", "split doubling")
+FALLBACKS = ("point on a root of u2", "u1 = u2, v1 != +-v2")
 
 
 def _fallback_reason(a, b, curve, reference):
-    """Why compose leaves (a, b) to its generic path, or None for the
-    explicit formulas; ``reference`` is the generic sum."""
+    """Which special case compose takes for (a, b): "identity", one of
+    CLOSED_FORMS, one of the FALLBACKS left to ``_cantor``, or None for
+    the generic degree-2 formulas; ``reference`` is the generic sum."""
     p = curve.p
     if IDENTITY in (a, b):
         return "identity"
-    if len(a.u) < 3 or len(b.u) < 3:
-        return "degree < 2"
+    if a.u == b.u and not p_add(a.v, b.v, p):
+        return "negation"
+    if len(a.u) > len(b.u):
+        a, b = b, a
+    if len(a.u) == 2:
+        if len(b.u) == 2:
+            return "point doubling" if a == b else "point + point"
+        return "point + degree 2" if p_divmod(b.u, a.u, p)[1] else "point on a root of u2"
     if a.u == b.u and a.v != b.v:
-        return "u1 = u2, v1 != v2"
+        return "u1 = u2, v1 != +-v2"
     other = b.u if a.u != b.u else p_add(a.v, a.v, p)  # res(u1, u2) or res(u, 2v)
     if len(p_xgcd(a.u, other, p)[0]) != 1:
-        return "zero resultant"
+        return "split addition" if a.u != b.u else "split doubling"
     if len(reference.u) < 3:  # deg u3 = 2 exactly when s1 != 0
         return "s1 = 0"
     return None
 
 
 def _check_against_cantor(monkeypatch, curve, pairs, reasons):
-    """compose equals _cantor on every pair, and calls it exactly on the
-    non-generic ones (identity returns the other operand)."""
+    """compose equals _cantor on every pair; it calls _cantor exactly on
+    the fallbacks, and a split's sub-sums reach it only as fallbacks."""
     fallbacks = []
 
     def spy(a, b, c):
@@ -145,7 +154,12 @@ def _check_against_cantor(monkeypatch, curve, pairs, reasons):
         reference = _cantor(a, b, curve)
         reason = _fallback_reason(a, b, curve, reference)
         assert compose(a, b, curve) == reference, (curve, a, b)
-        assert fallbacks == ([] if reason in (None, "identity") else [(a, b)]), (a, b, reason)
+        if reason in FALLBACKS:
+            assert fallbacks in ([(a, b)], [(b, a)]), (a, b, reason)
+        elif not reason or not reason.startswith("split"):
+            assert fallbacks == [], (a, b, reason)
+        for x, y in fallbacks:
+            assert _fallback_reason(x, y, curve, _cantor(x, y, curve)) in FALLBACKS, (a, b, x, y)
         reasons[reason] += 1
 
 
@@ -155,7 +169,7 @@ def test_compose_matches_cantor_on_every_pair(monkeypatch):
     for curve in (C5, GenusTwoCurve(7, (3, 1, 0, 0, 0, 1)), GenusTwoCurve(11, (8, 7, 10, 3, 1, 1))):
         ds = all_divisors(curve)
         _check_against_cantor(monkeypatch, curve, [(a, b) for a in ds for b in ds], reasons)
-    assert all(reasons[r] for r in FALLBACKS), reasons
+    assert all(reasons[r] for r in CLOSED_FORMS + FALLBACKS), reasons
     assert reasons[None] > sum(reasons[r] for r in FALLBACKS)
 
 
@@ -171,18 +185,32 @@ def test_compose_matches_cantor_on_random_pairs(monkeypatch):
         assert reasons[None] > 1500, reasons
 
 
+def _generic(*args):
+    raise AssertionError("left to the generic path")
+
+
 def test_explicit_formulas_check_their_division(monkeypatch):
     # (x^2 + 1, 1) is not on C5: f - v^2 = x^5 + x - 1 = 2x - 1 mod x^2 + 1
     bogus = MumfordDivisor((1, 0, 1), (1,))
     assert not is_valid_divisor(bogus, C5)
-
-    def generic(*args):
-        raise AssertionError("left to the generic path")
-
-    monkeypatch.setattr(cantor, "_cantor", generic)
+    monkeypatch.setattr(cantor, "_cantor", _generic)
     for other in (bogus, MumfordDivisor((1, 1, 1), (2,))):  # doubling, addition
         with pytest.raises(RuntimeError, match="does not divide"):
             compose(bogus, other, C5)
+
+
+def test_point_plus_degree_2_checks_its_division(monkeypatch):
+    # (x - 1, 1) is not on C5: f(1) = 2 is not 1; x^2 + 1 does not vanish
+    # at 1, so the sums below take the point-plus-degree-2 formula
+    bogus = MumfordDivisor((4, 1), (1,))
+    assert not is_valid_divisor(bogus, C5)
+    monkeypatch.setattr(cantor, "_cantor", _generic)
+    on_curve = [d for d in all_divisors(C5) if d.u == (1, 0, 1)]
+    assert on_curve
+    for other in on_curve:
+        for a, b in ((bogus, other), (other, bogus)):
+            with pytest.raises(RuntimeError, match="does not divide"):
+                compose(a, b, C5)
 
 
 def test_element_orders_divide_group_order():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cmgenus2 import frobenius, golden, integerkit, primegen, structure
+from cmgenus2 import cantor, frobenius, golden, integerkit, primegen, structure
 from cmgenus2.cli import main
 
 
@@ -263,6 +263,41 @@ def test_oracle_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert "Traceback" not in captured.err
+
+
+def _negated_explicit(monkeypatch):
+    real = cantor._explicit
+
+    def negated(u1, v1, u2, v2, curve):
+        out = real(u1, v1, u2, v2, curve)
+        return out and cantor.negate(out, curve)
+
+    monkeypatch.setattr(cantor, "_explicit", negated)
+
+
+def _off_curve_doubling(monkeypatch):
+    real = cantor.compose
+
+    def compose(d1, d2, curve):
+        return cantor.MumfordDivisor((0, 0, 1), (1,)) if d1 == d2 else real(d1, d2, curve)
+
+    monkeypatch.setattr(cantor, "compose", compose)
+
+
+@pytest.mark.parametrize("fault, message", [(_negated_explicit, "image size ratio"),
+                                            (_off_curve_doubling, "not an enumerated divisor")],
+                         ids=["negated-explicit", "off-curve-doubling"])
+def test_oracle_cantor_fault_exit_code(monkeypatch, capsys, fault, message):
+    # a wrong group law fails the image-size check, a sum off the curve
+    # the element lookup; both are computation errors, not tracebacks
+    fault(monkeypatch)
+    assert main(["oracle", "--curves", "1", "--pmax", "11", "--seed", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert message in lines[0]
+    assert "Traceback" not in captured.err
 
 
 def test_verify_passes(capsys):
