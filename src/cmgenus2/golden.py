@@ -1,8 +1,8 @@
 """Golden reference data: two published parameter sets with known outputs.
 
 Each entry records a CM field, an element omega (in its originally
-printed basis), the prime p = omega * conj(omega), the published group
-order N with its complete factorization, and the expected structure
+printed basis), the prime p = omega * conj(omega), the factorizations of
+p - 1 and of the published group order N, and the expected structure
 candidates.  The ``verify`` command re-derives everything derivable and
 pins each fact; the test suite does the same.
 
@@ -35,6 +35,7 @@ class ReferenceExample:
     printed_basis: Basis
     omega_xi: tuple[int, int, int, int]
     p: int
+    pm1_factors: tuple[tuple[int, int], ...]
     published_order: int
     order_factors: tuple[tuple[int, int], ...]
     expected_Q: int
@@ -56,6 +57,7 @@ EXAMPLE_1 = ReferenceExample(
     printed_basis=Basis.SQRT_D,
     omega_xi=(3913314953099587393, -31, 4483312578, 6978049007),
     p=_P1,
+    pm1_factors=((2, 1), (3, 1), (7, 1), (353, 1), (1032917437080320129329303072929943, 1)),
     published_order=_N1,
     order_factors=((2, 2), (7, 3), (17, 1), (23, 1), (4993, 1), (_R1, 1)),
     expected_Q=2,
@@ -82,6 +84,7 @@ EXAMPLE_2 = ReferenceExample(
     printed_basis=Basis.SQRT_D,
     omega_xi=(-119599772139239, 10558310, 8962061730, 9797803138),
     p=_P2,
+    pm1_factors=((2, 2), (3, 3), (43, 1), (5672833, 1), (23610911, 1), (22996185281, 1)),
     published_order=_N2,
     order_factors=((2, 3), (7, 3), (71, 1), (_R2, 1)),
     expected_Q=176,
@@ -100,21 +103,23 @@ EXAMPLE_2 = ReferenceExample(
 EXAMPLES = (EXAMPLE_1, EXAMPLE_2)
 
 
+def is_factorization_of(factors: tuple[tuple[int, int], ...], n: int) -> bool:
+    """Whether ``factors`` lists primes whose powers multiply to n (sorted, else ValueError)."""
+    return Factorization(factors).value() == n and all(is_probable_prime(q) for q, _ in factors)
+
+
 def load_examples() -> tuple[ReferenceExample, ...]:
     """Return the reference data after structural self-checks.
 
     Asserts that the basis conversion reproduces the recorded xi-basis
-    coordinates and the recorded factorization lists primes that
-    reassemble the published order, so a corrupted table cannot pass
-    silently.
+    coordinates and that the order factorization holds, so a corrupted
+    table cannot pass silently.
     """
     for ex in EXAMPLES:
         field = validate(ex.D, ex.a, ex.b)
         converted = basis_convert(ex.omega_printed, ex.printed_basis, Basis.XI, field.D)
         if converted != ex.omega_xi:
             raise AssertionError(f"{ex.name}: basis conversion drifted: {converted}")
-        if Factorization(ex.order_factors).value() != ex.published_order:
-            raise AssertionError(f"{ex.name}: order factorization does not reassemble")
-        if not all(is_probable_prime(q) for q, _ in ex.order_factors):
-            raise AssertionError(f"{ex.name}: order factorization lists a composite")
+        if not is_factorization_of(ex.order_factors, ex.published_order):
+            raise AssertionError(f"{ex.name}: order factorization does not reassemble into primes")
     return EXAMPLES

@@ -14,13 +14,13 @@ necessary conditions, working prime by prime over exponent chains
 e1 <= e2 <= e3 <= e4 summing to the multiplicity of the prime in N.  The
 output is a superset guarantee: the true structure is among the
 candidates, but candidates are not certified realizable (that would
-require the curve itself).  The minimum n4 over all candidates is then a
-certified lower bound on the largest cyclic subgroup.
+require the curve itself).  The minimum n4 over all candidates (a closed
+form per prime) is a certified lower bound on the largest cyclic subgroup.
 
 The filter and the enumeration read p - 1 only through ell | p - 1 and
 v_q(p - 1).  ``analyze`` is the whole path from a certificate and its
-group order: factor N, filter the odd primes, enumerate the candidates;
-it factors p - 1 for the report only.
+group order: factor N (and nothing else), filter the odd primes,
+enumerate the candidates.
 
 The power of two in n2 is constrained only by divisibility and
 n2 | p - 1; the odd-prime filter above does not apply to 2.
@@ -29,6 +29,7 @@ n2 | p - 1; the odd-prime filter above does not apply to 2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .integerkit import Factorization, factorize, valuation
@@ -71,7 +72,6 @@ class Analysis:
     """What ``analyze`` derives from a certificate and a group order."""
 
     n_fact: Factorization
-    pm1_fact: Factorization
     admissible_odd_primes: frozenset[int]
     exclusions: dict[int, tuple[str, ...]]
     structures: StructureReport
@@ -140,55 +140,49 @@ def enumerate_structures(
     """All candidate tuples for a Jacobian of order ``n_fact`` over F_p.
 
     ``n_fact`` must be complete.  The exponent of each prime q in n2 is
-    capped at v_q(p - 1); odd primes outside ``admissible`` are kept out
-    of n2.
+    capped at c = v_q(p - 1); odd primes outside ``admissible`` are kept
+    out of n2 (c = 0).
+
+    The guaranteed cyclic order, the least n4, is prod q^m over q^v || N,
+    m = max(ceil(v/4), ceil(v/2) - c), as the primes' chains combine
+    freely.  Every chain has 4*e4 >= v and, with e1 <= e2 <= c,
+    2*e4 >= v - 2c.  If 4c <= v, (c, c, floor(v/2) - c, ceil(v/2) - c)
+    attains m; else v = 4k + r with k < c, and k's with 1 added to the
+    last r entries attain ceil(v/4) with e2 <= k + 1 <= c.
     """
     if not n_fact.is_complete:
         raise IncompleteFactorization("N has an unfactored cofactor")
     per_prime: list[list[tuple[int, int, int, int]]] = []
-    total = 1
+    total = guaranteed = 1
     for q, v in n_fact.factors:
         e2_cap = valuation(p - 1, q) if q == 2 or q in admissible else 0
-        chains = exponent_chains(v, e2_cap)
-        powers = [tuple(q**e for e in chain) for chain in chains]
+        guaranteed *= q ** max(-(-v // 4), -(-v // 2) - e2_cap)
+        powers = [tuple(q**e for e in chain) for chain in exponent_chains(v, e2_cap)]
         per_prime.append(powers)
         total *= len(powers)
         if total > MAX_STRUCTURES:
             raise CombinatorialBlowup(f"more than {MAX_STRUCTURES} candidate structures")
-    out = []
-    for combo in itertools.product(*per_prime):
-        n = [1, 1, 1, 1]
-        for part in combo:
-            for i in range(4):
-                n[i] *= part[i]
-        out.append(StructureCandidate(*n))
-    candidates = tuple(sorted(out, key=StructureCandidate.as_tuple))
-    guaranteed = min(c.n4 for c in candidates)
-    for c in candidates:
-        if c.n4 % guaranteed != 0:
-            raise RuntimeError(f"guaranteed cyclic order {guaranteed} does not divide {c.n4}")
-    return StructureReport(candidates, guaranteed)
+    out = [StructureCandidate(*map(math.prod, zip((1, 1, 1, 1), *combo)))
+           for combo in itertools.product(*per_prime)]
+    return StructureReport(tuple(sorted(out)), guaranteed)
 
 
 def analyze(cert: OmegaCertificate, N: int) -> Analysis:
     """The structure pipeline for a certificate whose Jacobian has order N.
 
-    Factors N, filters the odd primes once, and enumerates the candidate
-    structures.  IncompleteFactorization when N does not factor within the
-    budget of ``factorize``.  p - 1 is factored for the report only; a
-    partial result there changes no candidate.
+    Factors N, not p - 1, filters the odd primes once, and enumerates the
+    candidate structures.  IncompleteFactorization when N does not factor
+    within the budget of ``factorize``.
     """
     n_fact = factorize(N)
     if not n_fact.is_complete:
         raise IncompleteFactorization(f"order {N} not fully factored within budget")
-    pm1_fact = factorize(cert.p - 1)
     admissible, exclusions = admissible_odd_primes_from(
         n_fact, cert.p, cert.field.Q, cert.field.D,
         cert.c[0], cert.c[1], cert.gcd34,
     )
     return Analysis(
         n_fact=n_fact,
-        pm1_fact=pm1_fact,
         admissible_odd_primes=frozenset(admissible),
         exclusions=exclusions,
         structures=enumerate_structures(n_fact, cert.p, admissible),

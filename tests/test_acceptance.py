@@ -101,7 +101,7 @@ def test_criterion_1_example1_golden():
         (87556173808919520163329861675989739433243040373597074857097140343, 1),
     )
     assert is_probable_prime(an.n_fact.factors[-1][0])
-    assert an.pm1_fact.is_complete
+    assert golden.is_factorization_of(ex.pm1_factors, cert.p - 1)
     assert an.admissible_odd_primes == frozenset()
     got = tuple(c.as_tuple() for c in an.structures.candidates)
     N = ex.published_order
@@ -142,7 +142,7 @@ def test_criterion_2_example2_golden():
         (1050217015557576630891205130257738047915611254140091, 1),
     )
     assert is_probable_prime(an.n_fact.factors[-1][0])
-    assert an.pm1_fact.is_complete
+    assert golden.is_factorization_of(ex.pm1_factors, cert.p - 1)
     assert an.admissible_odd_primes == frozenset()
     got = tuple(c.as_tuple() for c in an.structures.candidates)
     N = ex.published_order
@@ -254,11 +254,15 @@ def test_criterion_6_enumeration_oracle_equivalence():
         admissible, _ = admissible_odd_primes_from(n_fact, p, Q, D, c1, c2, gcd34)
         report = enumerate_structures(n_fact, p, admissible)
         got = [c.as_tuple() for c in report.candidates]
-        assert got == brute_force_structures(N, p, admissible), (N, p, admissible)
+        brute = brute_force_structures(N, p, admissible)
+        assert got == brute, (N, p, admissible)
+        assert report.guaranteed_cyclic == min(t[3] for t in brute)
+        assert all(t[3] % report.guaranteed_cyclic == 0 for t in brute)
         checked += 1
     assert checked == 100
     _ok("criterion 6: PASS  100 random synthetic (N, p, Q, congruence) cases, "
-        "per-prime enumeration == naive 4-tuple brute force, 0 discrepancies")
+        "per-prime enumeration == naive 4-tuple brute force and closed-form "
+        "guaranteed_cyclic == least brute-force n4, 0 discrepancies")
 
 
 def test_criterion_7_structural_claim_oracle():

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +249,31 @@ def test_analyze_twist_matches_golden_example_1(capsys, field2_cfg):
     got = tuple(tuple(int(x) for x in c) for c in report["candidates"])
     assert got == ex.expected_candidates
     assert report["guaranteed_cyclic"] == str(N // 14)
+
+
+@pytest.mark.parametrize("cfg, ex, view", [
+    # the rest after trial division is prime and listed as a factor
+    ("field2_cfg", golden.EXAMPLE_1,
+     {"factors": [["2", "1"], ["3", "1"], ["7", "1"], ["353", "1"],
+                  ["1032917437080320129329303072929943", "1"]]}),
+    # the rest is 5672833 * 23610911 * 22996185281, which analyze does not split
+    ("field5_cfg", golden.EXAMPLE_2,
+     {"factors": [["2", "2"], ["3", "3"], ["43", "1"]],
+      "unfactored_cofactor": "3080126420516567685377503"}),
+], ids=["example-1", "example-2"])
+def test_analyze_p_minus_1_by_trial_division(request, capsys, cfg, ex, view):
+    omega = ",".join(str(x) for x in ex.omega_xi)
+    rc, report = run_json(capsys, ["analyze", request.getfixturevalue(cfg),
+                                   f"--omega={omega}", "--twist", "--check-oracle", "--json"])
+    assert rc == 0
+    assert report["p_minus_1"] == view
+
+
+def test_cli_import_leaves_cantor_unloaded():
+    # gen and analyze never compose divisors; only oracle imports cantor
+    code = "import sys, cmgenus2.cli; sys.exit('cmgenus2.cantor' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cantor.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_oracle_mismatch_exit_code(monkeypatch, capsys, field2_cfg):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cmgenus2 import integerkit, structure
+from cmgenus2 import structure
 from cmgenus2.cmfield import validate
 from cmgenus2.integerkit import Factorization, divisors, factorize
 from cmgenus2.primegen import make_certificate
@@ -93,7 +93,6 @@ def test_admissible_ell_toy():
     an = analyze(TOY, 3356)  # 2^2 * 839: no odd prime cubed
     assert an.admissible_odd_primes == frozenset()
     assert an.exclusions == {}
-    assert an.pm1_fact == factorize(70)
 
 
 def test_admissible_synthetic_filter():
@@ -174,7 +173,11 @@ def test_enumerate_matches_brute_force_randomized():
         adm, _ = admissible_odd_primes_from(n_fact, p, Q, D, c1, c2, gcd34)
         report = enumerate_structures(n_fact, p, adm)
         got = [c.as_tuple() for c in report.candidates]
-        assert got == brute_force_structures(N, p, adm), (N, p, adm)
+        brute = brute_force_structures(N, p, adm)
+        assert got == brute, (N, p, adm)
+        # the closed-form bound is the least n4 and divides every n4
+        assert report.guaranteed_cyclic == min(t[3] for t in brute)
+        assert all(t[3] % report.guaranteed_cyclic == 0 for t in brute)
 
 
 def test_every_candidate_satisfies_invariants():
@@ -213,15 +216,18 @@ def test_prime_of_p_minus_1_beyond_trial_wall_stays_admissible():
     assert got == brute_force_structures(N, p, adm)
 
 
-def test_partial_pm1_changes_no_candidate(monkeypatch):
-    # a budget too small to factor p - 1 = 70 leaves 35 unfactored; the
-    # structures read v_q(p - 1) directly, so nothing changes
-    full = analyze(TOY, 3356)
-    monkeypatch.setattr(integerkit, "TRIAL_LIMIT", 2)
-    monkeypatch.setattr(integerkit, "RHO_ITERS", 0)
-    partial = analyze(TOY, 3356)
-    assert not partial.pm1_fact.is_complete
-    assert partial.structures == full.structures
+def test_analyze_factors_only_n(monkeypatch):
+    # the structures read p - 1 only by divisibility and valuation, so
+    # the one factorization is that of N
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(structure, "factorize", counting)
+    analyze(TOY, 3356)
+    assert calls == [3356]
 
 
 def test_structure_candidate_chain_validation():
