@@ -222,7 +222,7 @@ def cmd_analyze(args) -> int:
         "hasse_weil_ok": frobenius.hasse_weil_check(fd.N, cert.p),
         "admissible_odd_primes": sorted(an.admissible_odd_primes),
         "excluded_odd_primes": {q: list(r) for q, r in sorted(an.exclusions.items())},
-        "candidates": [list(c.as_tuple()) for c in an.structures.candidates],
+        "candidates": [list(c) for c in an.structures.candidates],
         "guaranteed_cyclic": an.structures.guaranteed_cyclic,
         "warnings": warnings,
     }
@@ -276,7 +276,7 @@ def _verify_example(ex: golden.ReferenceExample, corrupt: bool) -> list[dict]:
     check("published order in Hasse-Weil range",
           frobenius.hasse_weil_check(ex.published_order, cert.p))
     check("p - 1 factorization", golden.is_factorization_of(ex.pm1_factors, cert.p - 1))
-    got = tuple(c.as_tuple() for c in an.structures.candidates)
+    got = an.structures.candidates
     check("structure candidates", got == ex.expected_candidates, ex.expected_candidates, got)
     check("admissible odd primes empty", an.admissible_odd_primes == frozenset())
     for q, needles in ex.expected_exclusions.items():
@@ -288,8 +288,7 @@ def _verify_example(ex: golden.ReferenceExample, corrupt: bool) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    examples = golden.load_examples()
-    all_checks = [c for i, ex in enumerate(examples)
+    all_checks = [c for i, ex in enumerate(golden.EXAMPLES)
                   for c in _verify_example(ex, args.self_test_corrupt and i == 0)]
     failed = [c for c in all_checks if not c["ok"]]
     passed_examples = len({c["example"] for c in all_checks} - {c["example"] for c in failed})
@@ -303,7 +302,7 @@ def cmd_verify(args) -> int:
             if not c["ok"]:
                 print(f"    expected: {c.get('expected')}")
                 print(f"    actual:   {c.get('actual')}")
-        print(f"{passed_examples}/{len(examples)} examples verified")
+        print(f"{passed_examples}/{len(golden.EXAMPLES)} examples verified")
     return EXIT_OK if not failed else EXIT_COMPUTE
 
 
@@ -407,10 +406,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (RuntimeError, structure.IncompleteFactorization) as exc:
-        # RuntimeError covers SearchExhausted, CombinatorialBlowup,
-        # OracleMismatch and Cantor consistency faults; checked first,
-        # because IncompleteFactorization is also a ValueError
+    except RuntimeError as exc:
+        # SearchExhausted, IncompleteFactorization, CombinatorialBlowup,
+        # OracleMismatch and Cantor consistency faults
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except (ValueError, OSError) as exc:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cmfield import Basis, basis_convert, validate
+from .cmfield import Basis
 from .integerkit import Factorization, is_probable_prime
 
 
@@ -107,19 +107,3 @@ def is_factorization_of(factors: tuple[tuple[int, int], ...], n: int) -> bool:
     """Whether ``factors`` lists primes whose powers multiply to n (sorted, else ValueError)."""
     return Factorization(factors).value() == n and all(is_probable_prime(q) for q, _ in factors)
 
-
-def load_examples() -> tuple[ReferenceExample, ...]:
-    """Return the reference data after structural self-checks.
-
-    Asserts that the basis conversion reproduces the recorded xi-basis
-    coordinates and that the order factorization holds, so a corrupted
-    table cannot pass silently.
-    """
-    for ex in EXAMPLES:
-        field = validate(ex.D, ex.a, ex.b)
-        converted = basis_convert(ex.omega_printed, ex.printed_basis, Basis.XI, field.D)
-        if converted != ex.omega_xi:
-            raise AssertionError(f"{ex.name}: basis conversion drifted: {converted}")
-        if not is_factorization_of(ex.order_factors, ex.published_order):
-            raise AssertionError(f"{ex.name}: order factorization does not reassemble into primes")
-    return EXAMPLES

@@ -293,16 +293,11 @@ def valuation(n: int, q: int) -> int:
     return e
 
 
-def divisors(f: Factorization) -> list[int]:
-    """All divisors of the factored value, ascending.
-
-    Requires a complete factorization; the divisor count is
-    prod(e_i + 1).
-    """
-    if not f.is_complete:
-        raise ValueError("cannot enumerate divisors of a partial factorization")
+def divisors(factors: tuple[tuple[int, int], ...]) -> list[int]:
+    """All divisors of prod(p**e) over the prime powers ``factors``,
+    ascending; there are prod(e + 1) of them."""
     out = [1]
-    for p, e in f.factors:
+    for p, e in factors:
         powers = [p**k for k in range(e + 1)]
         out = [d * q for d in out for q in powers]
     out.sort()

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass
 
 from .cmfield import FieldCase, ValidatedField
-from .integerkit import Factorization, divisors, is_probable_prime, trial_division
+from .integerkit import divisors, is_probable_prime, trial_division
 from .quartic import OracleMismatch, norm_residual
 
 
@@ -131,7 +131,7 @@ def _right_side_divisors(n: int) -> list[int]:
     ``TRIAL_WALL`` finds and their complements |n|/d, once, ascending."""
     n = abs(n)
     small, _ = trial_division(n, TRIAL_WALL)
-    found = divisors(Factorization(small))
+    found = divisors(small)
     return sorted({*found, *(n // d for d in found)})
 
 

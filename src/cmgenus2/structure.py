@@ -18,8 +18,10 @@ require the curve itself).  The minimum n4 over all candidates (a closed
 form per prime) is a certified lower bound on the largest cyclic subgroup.
 
 The filter and the enumeration read p - 1 only through ell | p - 1 and
-v_q(p - 1).  ``analyze`` is the whole path from a certificate and its
-group order: factor N (and nothing else), filter the odd primes,
+v_q(p - 1), and N only through its prime-power list ((q, v), ...), which
+cannot carry a cofactor.  ``analyze`` is the whole path from a
+certificate and its group order: factor N (and nothing else), decide
+once whether that factorization is complete, filter the odd primes,
 enumerate the candidates.
 
 The power of two in n2 is constrained only by divisibility and
@@ -38,32 +40,17 @@ from .primegen import OmegaCertificate
 MAX_STRUCTURES = 10**6  # candidate structures before the enumeration gives up
 
 
-class IncompleteFactorization(ValueError):
-    """The factorization of N must be complete to enumerate structures."""
+class IncompleteFactorization(RuntimeError):
+    """N did not factor completely within the budget of ``factorize``."""
 
 
 class CombinatorialBlowup(RuntimeError):
     """More candidates than MAX_STRUCTURES."""
 
 
-@dataclass(frozen=True, order=True)
-class StructureCandidate:
-    n1: int
-    n2: int
-    n3: int
-    n4: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n1, self.n2, self.n3, self.n4)
-
-    def __post_init__(self) -> None:
-        if self.n2 % self.n1 or self.n3 % self.n2 or self.n4 % self.n3:
-            raise ValueError(f"{self.as_tuple()} is not a divisor chain")
-
-
 @dataclass(frozen=True)
 class StructureReport:
-    candidates: tuple[StructureCandidate, ...]
+    candidates: tuple[tuple[int, int, int, int], ...]  # (n1, n2, n3, n4), ascending
     guaranteed_cyclic: int
 
 
@@ -78,7 +65,7 @@ class Analysis:
 
 
 def admissible_odd_primes_from(
-    n_fact: Factorization,
+    factors: tuple[tuple[int, int], ...],
     p: int,
     Q: int,
     D: int,
@@ -92,11 +79,9 @@ def admissible_odd_primes_from(
     cube divides N but which was excluded, the list of conditions that
     excluded it.
     """
-    if not n_fact.is_complete:
-        raise IncompleteFactorization("N has an unfactored cofactor")
     admissible: set[int] = set()
     exclusions: dict[int, tuple[str, ...]] = {}
-    for ell, v in n_fact.factors:
+    for ell, v in factors:
         if ell == 2 or v < 3:
             continue
         reasons = []
@@ -133,15 +118,14 @@ def exponent_chains(v: int, e2_cap: int) -> list[tuple[int, int, int, int]]:
 
 
 def enumerate_structures(
-    n_fact: Factorization,
+    factors: tuple[tuple[int, int], ...],
     p: int,
     admissible: set[int],
 ) -> StructureReport:
-    """All candidate tuples for a Jacobian of order ``n_fact`` over F_p.
+    """All candidate tuples for a Jacobian of order prod q^v over F_p.
 
-    ``n_fact`` must be complete.  The exponent of each prime q in n2 is
-    capped at c = v_q(p - 1); odd primes outside ``admissible`` are kept
-    out of n2 (c = 0).
+    The exponent of each prime q in n2 is capped at c = v_q(p - 1); odd
+    primes outside ``admissible`` are kept out of n2 (c = 0).
 
     The guaranteed cyclic order, the least n4, is prod q^m over q^v || N,
     m = max(ceil(v/4), ceil(v/2) - c), as the primes' chains combine
@@ -150,11 +134,9 @@ def enumerate_structures(
     attains m; else v = 4k + r with k < c, and k's with 1 added to the
     last r entries attain ceil(v/4) with e2 <= k + 1 <= c.
     """
-    if not n_fact.is_complete:
-        raise IncompleteFactorization("N has an unfactored cofactor")
     per_prime: list[list[tuple[int, int, int, int]]] = []
     total = guaranteed = 1
-    for q, v in n_fact.factors:
+    for q, v in factors:
         e2_cap = valuation(p - 1, q) if q == 2 or q in admissible else 0
         guaranteed *= q ** max(-(-v // 4), -(-v // 2) - e2_cap)
         powers = [tuple(q**e for e in chain) for chain in exponent_chains(v, e2_cap)]
@@ -162,7 +144,7 @@ def enumerate_structures(
         total *= len(powers)
         if total > MAX_STRUCTURES:
             raise CombinatorialBlowup(f"more than {MAX_STRUCTURES} candidate structures")
-    out = [StructureCandidate(*map(math.prod, zip((1, 1, 1, 1), *combo)))
+    out = [tuple(map(math.prod, zip((1, 1, 1, 1), *combo)))
            for combo in itertools.product(*per_prime)]
     return StructureReport(tuple(sorted(out)), guaranteed)
 
@@ -171,19 +153,20 @@ def analyze(cert: OmegaCertificate, N: int) -> Analysis:
     """The structure pipeline for a certificate whose Jacobian has order N.
 
     Factors N, not p - 1, filters the odd primes once, and enumerates the
-    candidate structures.  IncompleteFactorization when N does not factor
-    within the budget of ``factorize``.
+    candidate structures.  The only completeness check: the filter and the
+    enumeration take the prime-power list, and IncompleteFactorization is
+    raised here when N does not factor within the budget of ``factorize``.
     """
     n_fact = factorize(N)
     if not n_fact.is_complete:
         raise IncompleteFactorization(f"order {N} not fully factored within budget")
     admissible, exclusions = admissible_odd_primes_from(
-        n_fact, cert.p, cert.field.Q, cert.field.D,
+        n_fact.factors, cert.p, cert.field.Q, cert.field.D,
         cert.c[0], cert.c[1], cert.gcd34,
     )
     return Analysis(
         n_fact=n_fact,
         admissible_odd_primes=frozenset(admissible),
         exclusions=exclusions,
-        structures=enumerate_structures(n_fact, cert.p, admissible),
+        structures=enumerate_structures(n_fact.factors, cert.p, admissible),
     )

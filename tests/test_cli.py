@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -207,7 +208,12 @@ def test_analyze_unfactorable_order_is_explicit(capsys, monkeypatch, field5_cfg)
          "--omega-basis", "sqrtD"],
     )
     assert rc == 2
-    assert "not fully factored" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "not fully factored" in lines[0]
+    assert "Traceback" not in captured.err
 
 
 def test_analyze_json_round_trips(capsys, field2_cfg):
@@ -348,6 +354,20 @@ def test_verify_corrupt_negative_control(capsys):
     out = capsys.readouterr().out
     assert rc == 2
     assert "MISMATCH" in out
+
+
+def test_verify_reports_a_wrong_recorded_factorization(capsys, monkeypatch):
+    # a corrupted golden table is a verification mismatch (exit 2), not a crash
+    ex = golden.EXAMPLE_2
+    wrong = tuple((73, 1) if q == 71 else (q, e) for q, e in ex.order_factors)
+    monkeypatch.setattr(golden, "EXAMPLES",
+                        (golden.EXAMPLE_1, dataclasses.replace(ex, order_factors=wrong)))
+    rc = main(["verify"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "[MISMATCH] example-2: published order factorization" in captured.out
+    assert "1/2 examples verified" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_oracle_deterministic(capsys):

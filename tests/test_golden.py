@@ -3,12 +3,6 @@ from cmgenus2.cmfield import Basis, basis_convert, validate
 from cmgenus2.integerkit import is_probable_prime
 
 
-def test_load_examples_self_checks():
-    examples = golden.load_examples()
-    assert len(examples) == 2
-    assert {ex.name for ex in examples} == {"example-1", "example-2"}
-
-
 def test_recorded_factorizations_reassemble():
     for ex in golden.EXAMPLES:
         value = 1

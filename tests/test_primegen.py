@@ -5,7 +5,7 @@ import pytest
 
 from cmgenus2 import integerkit, primegen
 from cmgenus2.cmfield import validate
-from cmgenus2.integerkit import Factorization, divisors, factorize, is_probable_prime, trial_division
+from cmgenus2.integerkit import divisors, factorize, is_probable_prime, trial_division
 from cmgenus2.primegen import (
     CompositeP,
     GenConfig,
@@ -136,7 +136,7 @@ def trial_divisors(value):
     plus their complements, and the rest trial division leaves."""
     n = abs(value)
     small, rest = trial_division(n, TRIAL_WALL)
-    found = divisors(Factorization(small))
+    found = divisors(small)
     return {*found, *(n // d for d in found)}, rest
 
 
@@ -172,7 +172,7 @@ def test_solvers_match_brute_force_randomized():
             assert set(sols) == pairs(value, tried), (field.D, c3, c4)
             reference = factorize(abs(value))
             assert reference.is_complete, value
-            everything = pairs(value, divisors(reference))
+            everything = pairs(value, divisors(reference.factors))
             if rest == 1 or is_probable_prime(rest):
                 complete += 1
                 assert set(sols) == everything, (field.D, c3, c4)

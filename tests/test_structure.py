@@ -11,7 +11,6 @@ from cmgenus2.primegen import make_certificate
 from cmgenus2.structure import (
     CombinatorialBlowup,
     IncompleteFactorization,
-    StructureCandidate,
     admissible_odd_primes_from,
     analyze,
     enumerate_structures,
@@ -25,7 +24,7 @@ TOY = make_certificate(F2, (7, -1, 2, 1))  # p = 71, N = 3356
 
 def brute_force_structures(N, p, admissible):
     """Naive oracle: scan all divisor 4-tuples of N."""
-    ds = divisors(factorize(N))
+    ds = divisors(factorize(N).factors)
     found = []
     for n1 in ds:
         for n2 in ds:
@@ -42,7 +41,7 @@ def brute_force_structures(N, p, admissible):
                 n4 = N // rest
                 if n4 % n3 == 0:
                     found.append((n1, n2, n3, n4))
-    return sorted(found)
+    return tuple(sorted(found))
 
 
 def odd_primes_ok(n2, admissible):
@@ -100,7 +99,7 @@ def test_admissible_synthetic_filter():
     N = 5**3 * 7
     p = 11  # p - 1 = 10 divisible by 5
     adm, excl = admissible_odd_primes_from(
-        factorize(N), p, Q=13, D=3, c1=6, c2=10, gcd34=1
+        factorize(N).factors, p, Q=13, D=3, c1=6, c2=10, gcd34=1
     )
     assert adm == {5}
     assert excl == {}
@@ -110,7 +109,7 @@ def test_admissible_exclusion_reasons():
     N = 7**3 * 4
     # 7 does not divide p-1 = 10, and c1 = 0 (mod 7)
     adm, excl = admissible_odd_primes_from(
-        factorize(N), 11, Q=176, D=5, c1=7, c2=0, gcd34=2
+        factorize(N).factors, 11, Q=176, D=5, c1=7, c2=0, gcd34=2
     )
     assert adm == set()
     assert 7 in excl
@@ -124,25 +123,35 @@ def test_admissible_gcd_side_condition():
     N = 7**3 * 2
     p = 29  # 7 | 28
     adm, _ = admissible_odd_primes_from(
-        factorize(N), p, Q=2, D=2, c1=5, c2=3, gcd34=7
+        factorize(N).factors, p, Q=2, D=2, c1=5, c2=3, gcd34=7
     )
     assert adm == {7}
 
 
-def test_admissible_requires_complete_n():
-    partial = Factorization(((2, 2),), cofactor=10**30 + 1)
-    with pytest.raises(IncompleteFactorization):
-        admissible_odd_primes_from(partial, 71, Q=2, D=2, c1=7, c2=-1, gcd34=1)
-    with pytest.raises(IncompleteFactorization):
-        enumerate_structures(partial, 71, set())
+def test_analyze_is_the_one_completeness_gate(monkeypatch):
+    # a partial factorization of N stops in analyze, before the filter
+    # and the enumeration, which take only the prime-power list
+    calls = []
+    for name in ("admissible_odd_primes_from", "enumerate_structures"):
+        def counting(*args, _name=name, _fn=getattr(structure, name)):
+            calls.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(structure, name, counting)
+    monkeypatch.setattr(structure, "factorize",
+                        lambda n: Factorization(((2, 2),), cofactor=n // 4))
+    with pytest.raises(IncompleteFactorization, match="not fully factored within budget"):
+        analyze(TOY, 3356)
+    assert calls == []
+    monkeypatch.setattr(structure, "factorize", factorize)
+    analyze(TOY, 3356)  # the counters see a complete N
+    assert calls == ["admissible_odd_primes_from", "enumerate_structures"]
 
 
 def test_enumerate_toy_matches_brute_force():
     an = analyze(TOY, 3356)
     report = an.structures
-    got = [c.as_tuple() for c in report.candidates]
-    assert got == [(1, 1, 1, 3356), (1, 1, 2, 1678)]
-    assert got == brute_force_structures(3356, 71, an.admissible_odd_primes)
+    assert report.candidates == ((1, 1, 1, 3356), (1, 1, 2, 1678))
+    assert report.candidates == brute_force_structures(3356, 71, an.admissible_odd_primes)
     assert report.guaranteed_cyclic == 1678
 
 
@@ -152,11 +161,10 @@ def test_enumerate_always_contains_cyclic_tuple():
         N = rng.randrange(2, 10**5)
         p = 71
         n_fact = factorize(N)
-        adm, _ = admissible_odd_primes_from(n_fact, p, Q=50, D=2, c1=1, c2=0, gcd34=1)
-        report = enumerate_structures(n_fact, p, adm)
-        tuples = [c.as_tuple() for c in report.candidates]
-        assert (1, 1, 1, N) in tuples
-        assert all(t[3] % report.guaranteed_cyclic == 0 for t in tuples)
+        adm, _ = admissible_odd_primes_from(n_fact.factors, p, Q=50, D=2, c1=1, c2=0, gcd34=1)
+        report = enumerate_structures(n_fact.factors, p, adm)
+        assert (1, 1, 1, N) in report.candidates
+        assert all(t[3] % report.guaranteed_cyclic == 0 for t in report.candidates)
 
 
 def test_enumerate_matches_brute_force_randomized():
@@ -170,11 +178,10 @@ def test_enumerate_matches_brute_force_randomized():
         c2 = rng.randrange(-10**6, 10**6)
         gcd34 = rng.choice((1, 1, 1, 2, 3, 7))
         n_fact = factorize(N)
-        adm, _ = admissible_odd_primes_from(n_fact, p, Q, D, c1, c2, gcd34)
-        report = enumerate_structures(n_fact, p, adm)
-        got = [c.as_tuple() for c in report.candidates]
+        adm, _ = admissible_odd_primes_from(n_fact.factors, p, Q, D, c1, c2, gcd34)
+        report = enumerate_structures(n_fact.factors, p, adm)
         brute = brute_force_structures(N, p, adm)
-        assert got == brute, (N, p, adm)
+        assert report.candidates == brute, (N, p, adm)
         # the closed-form bound is the least n4 and divides every n4
         assert report.guaranteed_cyclic == min(t[3] for t in brute)
         assert all(t[3] % report.guaranteed_cyclic == 0 for t in brute)
@@ -183,11 +190,10 @@ def test_enumerate_matches_brute_force_randomized():
 def test_every_candidate_satisfies_invariants():
     n_fact = factorize(2**3 * 7**3 * 5)
     p = 281  # p - 1 = 280 = 2^3 * 5 * 7
-    adm, _ = admissible_odd_primes_from(n_fact, p, Q=10, D=2, c1=1, c2=0, gcd34=1)
-    report = enumerate_structures(n_fact, p, adm)
+    adm, _ = admissible_odd_primes_from(n_fact.factors, p, Q=10, D=2, c1=1, c2=0, gcd34=1)
+    report = enumerate_structures(n_fact.factors, p, adm)
     N = n_fact.value()
-    for cand in report.candidates:
-        n1, n2, n3, n4 = cand.as_tuple()
+    for n1, n2, n3, n4 in report.candidates:
         assert n1 * n2 * n3 * n4 == N
         assert n2 % n1 == 0 and n3 % n2 == 0 and n4 % n3 == 0
         assert (p - 1) % n2 == 0
@@ -198,7 +204,7 @@ def test_combinatorial_cap(monkeypatch):
     monkeypatch.setattr(structure, "MAX_STRUCTURES", 10)
     n_fact = factorize(2**40)
     with pytest.raises(CombinatorialBlowup, match="more than 10 candidate structures"):
-        enumerate_structures(n_fact, 2**20 + 1, {2})
+        enumerate_structures(n_fact.factors, 2**20 + 1, {2})
 
 
 def test_prime_of_p_minus_1_beyond_trial_wall_stays_admissible():
@@ -208,12 +214,11 @@ def test_prime_of_p_minus_1_beyond_trial_wall_stays_admissible():
     ell = 10007
     p = 2 * ell * 4000039 * 4000081 + 1
     N = 4 * ell**3
-    adm, excl = admissible_odd_primes_from(factorize(N), p, Q=2, D=2, c1=5, c2=3, gcd34=ell)
+    adm, excl = admissible_odd_primes_from(factorize(N).factors, p, Q=2, D=2, c1=5, c2=3, gcd34=ell)
     assert adm == {ell} and excl == {}
-    report = enumerate_structures(factorize(N), p, adm)
-    got = [c.as_tuple() for c in report.candidates]
-    assert (1, ell, ell, 4 * ell) in got
-    assert got == brute_force_structures(N, p, adm)
+    report = enumerate_structures(factorize(N).factors, p, adm)
+    assert (1, ell, ell, 4 * ell) in report.candidates
+    assert report.candidates == brute_force_structures(N, p, adm)
 
 
 def test_analyze_factors_only_n(monkeypatch):
@@ -228,11 +233,6 @@ def test_analyze_factors_only_n(monkeypatch):
     monkeypatch.setattr(structure, "factorize", counting)
     analyze(TOY, 3356)
     assert calls == [3356]
-
-
-def test_structure_candidate_chain_validation():
-    with pytest.raises(ValueError):
-        StructureCandidate(3, 4, 12, 24)
 
 
 def test_congruence_forces_binomial_reduction():
