@@ -27,15 +27,8 @@ from pathlib import Path
 
 from . import cmfield, frobenius, golden, integerkit, structure
 from .cmfield import Basis, ValidatedField
-from .integerkit import Factorization, is_probable_prime, trial_division
-from .primegen import (
-    CompositeP,
-    GenConfig,
-    InvalidOmega,
-    make_certificate,
-    negate,
-    search_prime,
-)
+from .integerkit import is_probable_prime, trial_division
+from .primegen import CompositeP, InvalidOmega, make_certificate, negate, search_prime
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -80,7 +73,7 @@ def read_config(path: str) -> tuple[ValidatedField, Basis, tuple[int, int]]:
         basis = Basis(basis_name)
     except ValueError:
         raise ConfigError(f"{path}: basis must be 'xi' or 'sqrtD', got {basis_name!r}") from None
-    a, b = cmfield.field_params_from_basis(D, a_in, b_in, basis)
+    a, b, _, _ = cmfield.basis_convert((a_in, b_in, 0, 0), basis, Basis.XI, D)
     return cmfield.validate(D, a, b), basis, (a_in, b_in)
 
 
@@ -122,19 +115,15 @@ def _emit_human(obj, out, indent: int = 0) -> None:
         out.write(f"{pad}{obj}\n")
 
 
-def _factors_view(f: Factorization) -> dict:
-    view: dict = {"factors": [[p, e] for p, e in f.factors]}
-    if not f.is_complete:
-        view["unfactored_cofactor"] = f.cofactor
-    return view
-
-
 def _trial_factors_view(n: int) -> dict:
     """n as trial division to the wall splits it, the rest tested once."""
     small, rest = trial_division(n, integerkit.TRIAL_LIMIT)
     if rest > 1 and (rest <= integerkit.TRIAL_LIMIT**2 or is_probable_prime(rest)):
         small, rest = (*small, (rest, 1)), 1
-    return _factors_view(Factorization(small, rest))
+    view: dict = {"factors": [[q, e] for q, e in small]}
+    if rest != 1:
+        view["unfactored_cofactor"] = rest
+    return view
 
 
 def field_view(field: ValidatedField, basis: Basis, raw_ab: tuple[int, int]) -> dict:
@@ -149,10 +138,10 @@ def field_view(field: ValidatedField, basis: Basis, raw_ab: tuple[int, int]) -> 
         "Q": field.Q,
         "primitive": field.primitive,
     }
-    alt = cmfield.field_params_to_sqrtd(field.D, field.a, field.b)
-    if field.case is cmfield.FieldCase.CASE1 and alt is not None:
+    if field.case is cmfield.FieldCase.CASE1 and field.b % 2 == 0:
         # the bound evaluated on the sqrt(D)-basis constants, for reference
-        view["Q_sqrtD_basis"] = cmfield.compute_Q(field.D, *alt)
+        a, b, _, _ = cmfield.basis_convert((field.a, field.b, 0, 0), Basis.XI, Basis.SQRT_D, field.D)
+        view["Q_sqrtD_basis"] = cmfield.compute_Q(field.D, a, b)
     return view
 
 
@@ -168,15 +157,14 @@ def cmd_validate(args) -> int:
 def cmd_gen(args) -> int:
     field, basis, raw = read_config(args.config)
     cmfield.require_primitive(field)
-    cfg = GenConfig(target_bits=args.bits, seed=args.seed)
-    cert = search_prime(field, cfg)
+    cert = search_prime(field, args.bits, args.seed)
     report = {
         "field": field_view(field, basis, raw),
         "omega_xi": list(cert.c),
         "p": cert.p,
         "p_bits": cert.p.bit_length(),
         "gcd_c3_c4": cert.gcd34,
-        "seed": cfg.seed,
+        "seed": args.seed,
     }
     _emit(report, args.json)
     return EXIT_OK
@@ -204,8 +192,9 @@ def cmd_analyze(args) -> int:
     if args.twist:
         cert = negate(cert)
         warnings.append("analyzing the quadratic twist (negated omega)")
-    fd = frobenius.char_poly(cert, check_oracle=args.check_oracle)
-    an = structure.analyze(cert, fd.N)
+    coeffs = frobenius.char_poly(cert, check_oracle=args.check_oracle)
+    N = sum(coeffs)
+    an = structure.analyze(cert, N)
     report = {
         "field": field_view(field, basis, raw),
         "omega_input": list(c_input),
@@ -215,11 +204,11 @@ def cmd_analyze(args) -> int:
         "p": cert.p,
         "p_bits": cert.p.bit_length(),
         "p_minus_1": _trial_factors_view(cert.p - 1),
-        "frobenius_coeffs": list(fd.coeffs),
-        "N": fd.N,
-        "twist_order": frobenius.twist_order(fd),
-        "N_factors": _factors_view(an.n_fact),
-        "hasse_weil_ok": frobenius.hasse_weil_check(fd.N, cert.p),
+        "frobenius_coeffs": list(coeffs),
+        "N": N,
+        "twist_order": frobenius.twist_order(coeffs),
+        "N_factors": {"factors": [[q, e] for q, e in an.factors]},
+        "hasse_weil_ok": frobenius.hasse_weil_check(N, cert.p),
         "admissible_odd_primes": sorted(an.admissible_odd_primes),
         "excluded_odd_primes": {q: list(r) for q, r in sorted(an.exclusions.items())},
         "candidates": [list(c) for c in an.structures.candidates],
@@ -260,10 +249,10 @@ def _verify_example(ex: golden.ReferenceExample, corrupt: bool) -> list[dict]:
     if cert.p != ex.p:
         return checks
 
-    fd = frobenius.char_poly(cert, check_oracle=True)
-    if ex.published_order == fd.N:
+    coeffs = frobenius.char_poly(cert, check_oracle=True)
+    if ex.published_order == sum(coeffs):
         link = "primary"
-    elif ex.published_order == frobenius.twist_order(fd):
+    elif ex.published_order == frobenius.twist_order(coeffs):
         link = "twist"
     else:
         link = "inconsistent"
@@ -271,8 +260,8 @@ def _verify_example(ex: golden.ReferenceExample, corrupt: bool) -> list[dict]:
 
     cert_used = negate(cert) if link == "twist" else cert
     an = structure.analyze(cert_used, ex.published_order)
-    check("published order factorization", an.n_fact.factors == ex.order_factors,
-          ex.order_factors, an.n_fact.factors)
+    check("published order factorization", an.factors == ex.order_factors,
+          ex.order_factors, an.factors)
     check("published order in Hasse-Weil range",
           frobenius.hasse_weil_check(ex.published_order, cert.p))
     check("p - 1 factorization", golden.is_factorization_of(ex.pm1_factors, cert.p - 1))
@@ -377,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="full report for a given omega")
     p_an.add_argument("config")
-    p_an.add_argument("--omega", required=True, help="c1,c2,c3,c4")
+    p_an.add_argument("--omega", required=True,
+                      help="c1,c2,c3,c4; write --omega=-7,1,2,1 when c1 is negative")
     p_an.add_argument("--omega-basis", choices=("xi", "sqrtD"), default="xi")
     p_an.add_argument("--twist", action="store_true",
                       help="analyze the quadratic twist (negated omega)")

@@ -16,9 +16,10 @@ explicit allowlist of D values.
 
 ``ValidatedField`` is the one field record: D, a, b, Q and the
 primitivity flag, with ``validate`` its only constructor.  The helpers on
-a raw triple (``radicand_norm``, ``is_primitive``, ``compute_Q``,
-``field_params_to_sqrtd``) and ``basis_convert`` take plain integers and
-tell the two cases apart by D mod 4.
+a raw triple (``radicand_norm``, ``is_primitive``, ``compute_Q``) and
+``basis_convert`` take plain integers and tell the two cases apart by
+D mod 4; ``basis_convert`` on (a, b, 0, 0) moves field parameters
+between the bases.
 """
 
 from __future__ import annotations
@@ -190,19 +191,3 @@ def basis_convert(
             f"xi-coefficients ({c2}, {c4}) must be even to move to the sqrt(D)-basis"
         )
     return (c1 + c2 // 2, c2 // 2, c3 + c4 // 2, c4 // 2)
-
-
-def field_params_from_basis(D: int, a: int, b: int, basis: Basis) -> tuple[int, int]:
-    """Interpret (a, b) given in ``basis`` and return them on the xi-basis."""
-    if basis is Basis.XI or D % 4 != 1:
-        return a, b
-    return a - b, 2 * b
-
-
-def field_params_to_sqrtd(D: int, a: int, b: int) -> tuple[int, int] | None:
-    """(a', b') with a + b*xi = a' + b'*sqrt(D), or None when non-integral."""
-    if D % 4 != 1:
-        return a, b
-    if b % 2:
-        return None
-    return a + b // 2, b // 2

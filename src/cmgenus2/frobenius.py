@@ -15,34 +15,15 @@ quadratic twist pair of orders {P(1), P(-1)}; which twist a concrete
 curve realizes is decided by point counting, outside this package's
 scope, so both orders are exposed.
 
-Each closed form is checked against the multiplication-matrix oracle on
-demand; coefficients also obey the Weil symmetry t1 = t3*p, t0 = p^2.
+The coefficients are the plain tuple (1, t3, t2, t3*p, p^2), so the Weil
+symmetry holds by construction and N = sum(coeffs).  Each closed form is
+checked against the multiplication-matrix oracle on demand.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .cmfield import FieldCase, ValidatedField
 from .quartic import ONE, OracleMismatch, QuarticInt, char_poly_oracle, det4, mult_matrix
-
-
-@dataclass(frozen=True)
-class FrobeniusData:
-    """Monic quartic coefficients [1, t3, t2, t1, t0], the prime, and N = P(1)."""
-
-    coeffs: tuple[int, int, int, int, int]
-    p: int
-    N: int
-
-    def __post_init__(self) -> None:
-        one, t3, t2, t1, t0 = self.coeffs
-        if one != 1:
-            raise ValueError("characteristic polynomial must be monic")
-        if t1 != t3 * self.p or t0 != self.p * self.p:
-            raise ValueError("coefficients violate Weil symmetry")
-        if self.N != sum(self.coeffs) or self.N <= 0:
-            raise ValueError("N must equal P(1) > 0")
 
 
 def closed_form_char_poly(
@@ -59,28 +40,27 @@ def closed_form_char_poly(
     return (1, t3, t2, t3 * p, p * p)
 
 
-def char_poly(cert, check_oracle: bool = False) -> FrobeniusData:
-    """FrobeniusData for a certificate, optionally matrix-verified.
+def char_poly(cert, check_oracle: bool = False) -> tuple[int, int, int, int, int]:
+    """Coefficients (1, t3, t2, t1, t0) for a certificate, optionally matrix-verified.
 
     With check_oracle the closed form is compared against the exact
-    characteristic polynomial of the multiplication matrix and N against
-    the determinant of multiplication by 1 - omega; OracleMismatch on any
-    difference.
+    characteristic polynomial of the multiplication matrix and N = P(1)
+    against the determinant of multiplication by 1 - omega; OracleMismatch
+    on any difference.
     """
     coeffs = closed_form_char_poly(cert.field, cert.c, cert.p)
-    fd = FrobeniusData(coeffs, cert.p, sum(coeffs))
     if check_oracle:
         oracle = char_poly_oracle(QuarticInt(*cert.c), cert.field)
         if list(coeffs) != oracle:
             raise OracleMismatch(f"closed form {coeffs} != matrix oracle {oracle}")
-        if fd.N != group_order_oracle(cert.field, cert.c):
+        if sum(coeffs) != group_order_oracle(cert.field, cert.c):
             raise OracleMismatch("P(1) disagrees with det(mult by 1 - omega)")
-    return fd
+    return coeffs
 
 
-def twist_order(fd: FrobeniusData) -> int:
+def twist_order(coeffs: tuple[int, int, int, int, int]) -> int:
     """P(-1), the group order of the quadratic twist (Frobenius -omega)."""
-    one, t3, t2, t1, t0 = fd.coeffs
+    one, t3, t2, t1, t0 = coeffs
     return one - t3 + t2 - t1 + t0
 
 

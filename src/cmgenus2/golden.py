@@ -19,10 +19,11 @@ link state itself is pinned so any drift still fails verification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .cmfield import Basis
-from .integerkit import Factorization, is_probable_prime
+from .integerkit import is_probable_prime
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,8 @@ EXAMPLES = (EXAMPLE_1, EXAMPLE_2)
 
 
 def is_factorization_of(factors: tuple[tuple[int, int], ...], n: int) -> bool:
-    """Whether ``factors`` lists primes whose powers multiply to n (sorted, else ValueError)."""
-    return Factorization(factors).value() == n and all(is_probable_prime(q) for q, _ in factors)
+    """Whether ``factors`` lists strictly increasing primes whose powers multiply to n."""
+    primes = [q for q, _ in factors]
+    return (all(a < b for a, b in zip(primes, primes[1:])) and all(e >= 1 for _, e in factors)
+            and math.prod(q**e for q, e in factors) == n and all(map(is_probable_prime, primes)))
 

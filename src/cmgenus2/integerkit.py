@@ -65,7 +65,7 @@ _prime_table: tuple[int, array, tuple[int, ...]] = (0, array("I"), ())
 
 @dataclass(frozen=True)
 class Factorization:
-    """Factored form value = prod(p**e) * cofactor.
+    """n = prod(p**e) * cofactor, as ``factorize`` returns it.
 
     ``factors`` is sorted by prime, exponents are >= 1, and every listed
     prime has passed the primality test.  ``cofactor`` is 1 for a complete
@@ -73,26 +73,11 @@ class Factorization:
     """
 
     factors: tuple[tuple[int, int], ...]
-    cofactor: int = 1
-
-    def __post_init__(self) -> None:
-        primes = [p for p, _ in self.factors]
-        if primes != sorted(primes) or len(set(primes)) != len(primes):
-            raise ValueError("factors must be sorted by strictly increasing prime")
-        if any(e < 1 for _, e in self.factors) or any(p < 2 for p, _ in self.factors):
-            raise ValueError("primes must be >= 2 and exponents >= 1")
-        if self.cofactor < 1:
-            raise ValueError("cofactor must be >= 1")
+    cofactor: int
 
     @property
     def is_complete(self) -> bool:
         return self.cofactor == 1
-
-    def value(self) -> int:
-        n = self.cofactor
-        for p, e in self.factors:
-            n *= p**e
-        return n
 
 
 def is_probable_prime(n: int) -> bool:

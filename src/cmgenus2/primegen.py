@@ -19,7 +19,7 @@ division up to ``TRIAL_WALL`` finds and their complements |n|/d: every
 divisor when at most one prime of n lies above the wall, and no pair is
 resampled for want of a factorization.  Divisors are tried in seeded
 pseudo-random order (both signs), and the divisors of one pair are
-exhausted before the next pair is sampled, so a fixed (field, config)
+exhausted before the next pair is sampled, so a fixed (field, bits, seed)
 always reproduces the same certificate.  At most ``MAX_CANDIDATES``
 in-window norms are tested for primality.  Shared odd factors of
 (c3, c4) are never emitted; shared powers of two are allowed.
@@ -54,16 +54,6 @@ class InvalidOmega(ValueError):
 
 class CompositeP(ValueError):
     """The rational norm is not an (odd) probable prime."""
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    target_bits: int
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 4 <= self.target_bits <= 1024:
-            raise ValueError("target_bits must be between 4 and 1024")
 
 
 @dataclass(frozen=True)
@@ -184,7 +174,7 @@ def solve_divisor_equation_1(field: ValidatedField, c3: int, c4: int) -> list[tu
     return out
 
 
-def _pair_bit_range(field: ValidatedField, cfg: GenConfig) -> tuple[int, int]:
+def _pair_bit_range(field: ValidatedField, target_bits: int) -> tuple[int, int]:
     """Magnitude range for |c3|, |c4|.
 
     Pairs near (target - scale)/2 bits reach the target through balanced
@@ -193,8 +183,8 @@ def _pair_bit_range(field: ValidatedField, cfg: GenConfig) -> tuple[int, int]:
     n is half as long.  Sampling the whole range covers both regimes.
     """
     scale = (field.a * (1 + field.D)).bit_length()
-    hi = max(2, (cfg.target_bits - scale) // 2)
-    lo = max(2, (cfg.target_bits - scale) // 4)
+    hi = max(2, (target_bits - scale) // 2)
+    lo = max(2, (target_bits - scale) // 4)
     return lo, hi
 
 
@@ -205,13 +195,15 @@ def _sample_pair(rng: random.Random, lo_bits: int, hi_bits: int) -> tuple[int, i
     return c3, c4
 
 
-def search_prime(field: ValidatedField, cfg: GenConfig) -> OmegaCertificate:
+def search_prime(field: ValidatedField, target_bits: int, seed: int) -> OmegaCertificate:
     """Elementary-method search; deterministic for a fixed seed.
 
     The divisor equation solved for each pair depends on the residue of D.
     """
-    rng = random.Random(cfg.seed)
-    lo_bits, hi_bits = _pair_bit_range(field, cfg)
+    if not 4 <= target_bits <= 1024:
+        raise ValueError("target_bits must be between 4 and 1024")
+    rng = random.Random(seed)
+    lo_bits, hi_bits = _pair_bit_range(field, target_bits)
     case1 = field.case is FieldCase.CASE1
     solver = solve_divisor_equation_1 if case1 else solve_divisor_equation_23
     tested = 0
@@ -230,11 +222,11 @@ def search_prime(field: ValidatedField, cfg: GenConfig) -> OmegaCertificate:
                 raise OracleMismatch(f"solver produced irrational norm at {c}")
             if p <= 2 or p % 2 == 0:
                 continue
-            if abs(p.bit_length() - cfg.target_bits) > 2:
+            if abs(p.bit_length() - target_bits) > 2:
                 continue
             tested += 1
             if is_probable_prime(p):  # the loop has checked the norm and the primality
                 return _certificate(field, c, p)
             if tested >= MAX_CANDIDATES:
                 raise SearchExhausted(f"no prime after {tested} candidates")
-    raise SearchExhausted(f"no candidate with {cfg.target_bits}-bit norm after {pair_cap} pairs")
+    raise SearchExhausted(f"no candidate with {target_bits}-bit norm after {pair_cap} pairs")

@@ -22,7 +22,8 @@ v_q(p - 1), and N only through its prime-power list ((q, v), ...), which
 cannot carry a cofactor.  ``analyze`` is the whole path from a
 certificate and its group order: factor N (and nothing else), decide
 once whether that factorization is complete, filter the odd primes,
-enumerate the candidates.
+enumerate the candidates.  Its ``Analysis`` keeps N's prime powers only,
+as no result is built for a partial factorization.
 
 The power of two in n2 is constrained only by divisibility and
 n2 | p - 1; the odd-prime filter above does not apply to 2.
@@ -34,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .integerkit import Factorization, factorize, valuation
+from .integerkit import factorize, valuation
 from .primegen import OmegaCertificate
 
 MAX_STRUCTURES = 10**6  # candidate structures before the enumeration gives up
@@ -58,7 +59,7 @@ class StructureReport:
 class Analysis:
     """What ``analyze`` derives from a certificate and a group order."""
 
-    n_fact: Factorization
+    factors: tuple[tuple[int, int], ...]  # N's prime powers ((q, v), ...), ascending
     admissible_odd_primes: frozenset[int]
     exclusions: dict[int, tuple[str, ...]]
     structures: StructureReport
@@ -157,16 +158,16 @@ def analyze(cert: OmegaCertificate, N: int) -> Analysis:
     enumeration take the prime-power list, and IncompleteFactorization is
     raised here when N does not factor within the budget of ``factorize``.
     """
-    n_fact = factorize(N)
-    if not n_fact.is_complete:
+    factorization = factorize(N)
+    if not factorization.is_complete:
         raise IncompleteFactorization(f"order {N} not fully factored within budget")
+    factors = factorization.factors
     admissible, exclusions = admissible_odd_primes_from(
-        n_fact.factors, cert.p, cert.field.Q, cert.field.D,
-        cert.c[0], cert.c[1], cert.gcd34,
+        factors, cert.p, cert.field.Q, cert.field.D, cert.c[0], cert.c[1], cert.gcd34,
     )
     return Analysis(
-        n_fact=n_fact,
+        factors=factors,
         admissible_odd_primes=frozenset(admissible),
         exclusions=exclusions,
-        structures=enumerate_structures(n_fact.factors, cert.p, admissible),
+        structures=enumerate_structures(factors, cert.p, admissible),
     )

@@ -370,6 +370,20 @@ def test_verify_reports_a_wrong_recorded_factorization(capsys, monkeypatch):
     assert "Traceback" not in captured.out + captured.err
 
 
+def test_verify_reports_an_unsorted_p_minus_1_table(capsys, monkeypatch):
+    # the p - 1 table is checked by value: out of order, it is a mismatch
+    # of that check alone, not an input error that loses the report
+    ex = golden.EXAMPLES[1]
+    unsorted = dataclasses.replace(ex, pm1_factors=ex.pm1_factors[::-1])
+    monkeypatch.setattr(golden, "EXAMPLES", (golden.EXAMPLES[0], unsorted))
+    rc = main(["verify"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "[MISMATCH] example-2: p - 1 factorization" in captured.out
+    assert captured.out.count("MISMATCH") == 1
+    assert "Traceback" not in captured.out + captured.err
+
+
 def test_oracle_deterministic(capsys):
     rc1 = main(["oracle", "--curves", "4", "--pmax", "11", "--seed", "5"])
     out1 = capsys.readouterr().out

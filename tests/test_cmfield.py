@@ -15,8 +15,6 @@ from cmgenus2.cmfield import (
     WrongResidue,
     basis_convert,
     compute_Q,
-    field_params_from_basis,
-    field_params_to_sqrtd,
     is_primitive,
     require_primitive,
     validate,
@@ -142,17 +140,18 @@ def test_basis_round_trip_property(D, c):
     assert basis_convert(x, Basis.XI, Basis.SQRT_D, D) == c
 
 
-def test_field_params_from_basis():
+def test_field_params_sqrtd_to_xi():
     # printed radicand 7 + sqrt(5) becomes (a, b) = (6, 2) on the xi-basis
-    assert field_params_from_basis(5, 7, 1, Basis.SQRT_D) == (6, 2)
-    assert field_params_from_basis(5, 6, 2, Basis.XI) == (6, 2)
-    assert field_params_from_basis(2, 2, 1, Basis.SQRT_D) == (2, 1)
+    assert basis_convert((7, 1, 0, 0), Basis.SQRT_D, Basis.XI, 5) == (6, 2, 0, 0)
+    assert basis_convert((6, 2, 0, 0), Basis.XI, Basis.XI, 5) == (6, 2, 0, 0)
+    assert basis_convert((2, 1, 0, 0), Basis.SQRT_D, Basis.XI, 2) == (2, 1, 0, 0)
 
 
-def test_field_params_to_sqrtd():
-    assert field_params_to_sqrtd(5, 6, 2) == (7, 1)
-    assert field_params_to_sqrtd(5, 6, 1) is None
-    assert field_params_to_sqrtd(2, 2, 1) == (2, 1)
+def test_field_params_xi_to_sqrtd():
+    assert basis_convert((6, 2, 0, 0), Basis.XI, Basis.SQRT_D, 5) == (7, 1, 0, 0)
+    with pytest.raises(NonIntegralConversion):
+        basis_convert((6, 1, 0, 0), Basis.XI, Basis.SQRT_D, 5)
+    assert basis_convert((2, 1, 0, 0), Basis.XI, Basis.SQRT_D, 2) == (2, 1, 0, 0)
 
 
 def test_field_record_contract():

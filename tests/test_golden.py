@@ -30,3 +30,13 @@ def test_candidate_tables_are_sorted_divisor_chains():
             assert n1 * n2 * n3 * n4 == ex.published_order
             assert n2 % n1 == 0 and n3 % n2 == 0 and n4 % n3 == 0
             assert (ex.p - 1) % n2 == 0
+
+
+def test_is_factorization_of_rejects_bad_tables():
+    assert golden.is_factorization_of(((2, 1), (3, 1)), 6)
+    assert golden.is_factorization_of((), 1)
+    assert not golden.is_factorization_of(((3, 1), (2, 1)), 6)  # unsorted
+    assert not golden.is_factorization_of(((2, 1), (2, 1)), 4)  # repeated prime
+    assert not golden.is_factorization_of(((2, 1), (9, 1)), 18)  # composite "prime"
+    assert not golden.is_factorization_of(((2, 0), (3, 1)), 3)  # zero exponent
+    assert not golden.is_factorization_of(((2, 1), (3, 1)), 12)  # wrong product

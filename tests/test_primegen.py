@@ -8,7 +8,6 @@ from cmgenus2.cmfield import validate
 from cmgenus2.integerkit import divisors, factorize, is_probable_prime, trial_division
 from cmgenus2.primegen import (
     CompositeP,
-    GenConfig,
     InvalidOmega,
     NoIntegralSolution,
     OmegaCertificate,
@@ -187,36 +186,35 @@ def test_solvers_match_brute_force_randomized():
 
 def test_gen_omega_23_produces_valid_certificates():
     for seed in range(10):
-        cert = search_prime(F2, GenConfig(target_bits=24, seed=seed))
+        cert = search_prime(F2, 24, seed)
         assert_certificate_invariants(cert)
         assert abs(cert.p.bit_length() - 24) <= 2
 
 
 def test_gen_omega_1_produces_valid_certificates():
     for seed in range(10):
-        cert = search_prime(F5, GenConfig(target_bits=24, seed=seed))
+        cert = search_prime(F5, 24, seed)
         assert_certificate_invariants(cert)
         assert abs(cert.p.bit_length() - 24) <= 2
 
 
 def test_search_prime_deterministic():
-    cfg = GenConfig(target_bits=40, seed=77)
-    assert search_prime(F3, cfg) == search_prime(F3, cfg)
-    assert search_prime(F13, cfg) == search_prime(F13, cfg)
+    assert search_prime(F3, 40, 77) == search_prime(F3, 40, 77)
+    assert search_prime(F13, 40, 77) == search_prime(F13, 40, 77)
 
 
 def test_search_prime_seed_variation():
-    certs = {search_prime(F2, GenConfig(target_bits=32, seed=s)).p for s in range(8)}
+    certs = {search_prime(F2, 32, s).p for s in range(8)}
     assert len(certs) > 1
 
 
 def test_search_prime_frozen_certificates():
     # pins the reproducibility contract across releases; update only with
     # a deliberate generator change
-    cert = search_prime(F2, GenConfig(target_bits=32, seed=2024))
+    cert = search_prime(F2, 32, 2024)
     assert cert.c == (-94799, 1, 118, 201)
     assert cert.p == 8987134727
-    cert5 = search_prime(F5, GenConfig(target_bits=32, seed=2024))
+    cert5 = search_prime(F5, 32, 2024)
     assert cert5.c == (-14999, 30020, -510, 188)
     assert cert5.p == 1127630233
 
@@ -229,18 +227,28 @@ def test_search_runs_no_rho(monkeypatch):
 
     monkeypatch.setattr(integerkit, "_brent_rho", no_rho)
     for field in (F2, F5):
-        cert = search_prime(field, GenConfig(target_bits=128, seed=0))
+        cert = search_prime(field, 128, 0)
         assert make_certificate(field, cert.c) == cert
         assert abs(cert.p.bit_length() - 128) <= 2
 
 
-def test_config_preconditions():
-    with pytest.raises(ValueError):
-        GenConfig(target_bits=3)
-    with pytest.raises(ValueError):
-        GenConfig(target_bits=1025)
-    assert GenConfig(target_bits=4).target_bits == 4
-    assert GenConfig(target_bits=1024).target_bits == 1024
+def test_config_preconditions(monkeypatch):
+    # the bit range is checked before the search; 4 and 1024 reach it,
+    # which the sentinel shows without running a 1024-bit search
+    for bits in (3, 1025):
+        with pytest.raises(ValueError, match="^target_bits must be between 4 and 1024$"):
+            search_prime(F2, bits, 0)
+
+    class Sampled(Exception):
+        pass
+
+    def sentinel(*args):
+        raise Sampled
+
+    monkeypatch.setattr(primegen, "_sample_pair", sentinel)
+    for bits in (4, 1024):
+        with pytest.raises(Sampled):
+            search_prime(F2, bits, 0)
 
 
 def test_search_exhausted(monkeypatch):
@@ -249,11 +257,11 @@ def test_search_exhausted(monkeypatch):
     # deterministic per seed)
     monkeypatch.setattr(primegen, "MAX_CANDIDATES", 1)
     with pytest.raises(SearchExhausted):
-        search_prime(F2, GenConfig(target_bits=24, seed=0))
+        search_prime(F2, 24, 0)
 
 
 def test_negate_preserves_validity():
-    cert = search_prime(F2, GenConfig(target_bits=20, seed=5))
+    cert = search_prime(F2, 20, 5)
     twin = negate(cert)
     assert twin.p == cert.p
     assert twin.c == tuple(-x for x in cert.c)

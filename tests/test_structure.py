@@ -160,9 +160,9 @@ def test_enumerate_always_contains_cyclic_tuple():
     for _ in range(50):
         N = rng.randrange(2, 10**5)
         p = 71
-        n_fact = factorize(N)
-        adm, _ = admissible_odd_primes_from(n_fact.factors, p, Q=50, D=2, c1=1, c2=0, gcd34=1)
-        report = enumerate_structures(n_fact.factors, p, adm)
+        factors = factorize(N).factors
+        adm, _ = admissible_odd_primes_from(factors, p, Q=50, D=2, c1=1, c2=0, gcd34=1)
+        report = enumerate_structures(factors, p, adm)
         assert (1, 1, 1, N) in report.candidates
         assert all(t[3] % report.guaranteed_cyclic == 0 for t in report.candidates)
 
@@ -177,9 +177,9 @@ def test_enumerate_matches_brute_force_randomized():
         c1 = rng.randrange(-10**6, 10**6)
         c2 = rng.randrange(-10**6, 10**6)
         gcd34 = rng.choice((1, 1, 1, 2, 3, 7))
-        n_fact = factorize(N)
-        adm, _ = admissible_odd_primes_from(n_fact.factors, p, Q, D, c1, c2, gcd34)
-        report = enumerate_structures(n_fact.factors, p, adm)
+        factors = factorize(N).factors
+        adm, _ = admissible_odd_primes_from(factors, p, Q, D, c1, c2, gcd34)
+        report = enumerate_structures(factors, p, adm)
         brute = brute_force_structures(N, p, adm)
         assert report.candidates == brute, (N, p, adm)
         # the closed-form bound is the least n4 and divides every n4
@@ -188,11 +188,12 @@ def test_enumerate_matches_brute_force_randomized():
 
 
 def test_every_candidate_satisfies_invariants():
-    n_fact = factorize(2**3 * 7**3 * 5)
+    N = 2**3 * 7**3 * 5
+    factors = factorize(N).factors
     p = 281  # p - 1 = 280 = 2^3 * 5 * 7
-    adm, _ = admissible_odd_primes_from(n_fact.factors, p, Q=10, D=2, c1=1, c2=0, gcd34=1)
-    report = enumerate_structures(n_fact.factors, p, adm)
-    N = n_fact.value()
+    adm, _ = admissible_odd_primes_from(factors, p, Q=10, D=2, c1=1, c2=0, gcd34=1)
+    report = enumerate_structures(factors, p, adm)
+    assert math.prod(q**v for q, v in factors) == N
     for n1, n2, n3, n4 in report.candidates:
         assert n1 * n2 * n3 * n4 == N
         assert n2 % n1 == 0 and n3 % n2 == 0 and n4 % n3 == 0
@@ -202,9 +203,8 @@ def test_every_candidate_satisfies_invariants():
 
 def test_combinatorial_cap(monkeypatch):
     monkeypatch.setattr(structure, "MAX_STRUCTURES", 10)
-    n_fact = factorize(2**40)
     with pytest.raises(CombinatorialBlowup, match="more than 10 candidate structures"):
-        enumerate_structures(n_fact.factors, 2**20 + 1, {2})
+        enumerate_structures(factorize(2**40).factors, 2**20 + 1, {2})
 
 
 def test_prime_of_p_minus_1_beyond_trial_wall_stays_admissible():
