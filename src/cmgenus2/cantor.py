@@ -27,9 +27,10 @@ forms against.
 
 Groups are small enough (order below ~6200 at p = 61) to enumerate
 outright; the invariant factors are recovered by counting, for each
-prime q, the sizes of the iterated images of multiplication by q.  The
-multiplication maps share one table of doublings, so only their
-additions compose.
+prime q with q^2 | N, the sizes of the iterated images of multiplication
+by q (a q dividing N once gives Z/q).  The multiplication maps share one
+table of doublings, so only their additions compose, and only for one
+class of each pair P, -P.
 """
 
 from __future__ import annotations
@@ -379,6 +380,7 @@ def all_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
     """Every reduced Mumford pair on the curve."""
     p, f = curve.p, curve.f
     roots = _sqrt_table(p)  # each list ascending, without repeats
+    inv = [0] + [pow(x, -1, p) for x in range(1, p)]
     out = [IDENTITY]
     # degree 1: u = x - r with v^2 = f(r)
     for r in range(p):
@@ -386,22 +388,38 @@ def all_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
             out.append(_point(r, s, p))
     # degree 2: u = x^2 + u1 x + u0, v = v1 x + v0 with u | f - v^2.
     # Reducing f mod u leaves f1 x + f0; v^2 mod u has linear coefficient
-    # 2 v1 v0 - v1^2 u1 and constant v0^2 - v1^2 u0, so for fixed v1 != 0
-    # the linear match determines v0 and the constant match is a check;
-    # v1 = 0 needs f1 = 0 and v0^2 = f0.
-    lines = [(v1, v1 * v1 % p, pow(2 * v1, -1, p)) for v1 in range(1, p)]
+    # 2 v1 v0 - v1^2 u1 and constant v0^2 - v1^2 u0.  v1 = 0 needs f1 = 0
+    # and v0^2 = f0.  For v1 != 0 the linear match gives
+    # v0 = (f1 + t u1) / (2 v1) with t = v1^2, and the constant match is
+    # then a t^2 + b t + c = 0 with the coefficients below.
     for u1 in range(p):
         for u0 in range(p):
             u = (u0, u1, 1)
-            fr = p_mod(f, u, p)
-            f1 = fr[1] if len(fr) > 1 else 0
-            f0 = fr[0] if fr else 0
+            f1 = f0 = 0  # Horner's rule with x^2 = -u1 x - u0
+            for c in reversed(f):
+                f1, f0 = (f0 - f1 * u1) % p, (c - f1 * u0) % p
             for s in roots.get(f0, ()) if f1 == 0 else ():
                 out.append(MumfordDivisor(u, (s,) if s else ()))
-            for v1, sq, inv in lines:
-                v0 = (f1 + sq * u1) * inv % p
-                if (v0 * v0 - sq * u0) % p == f0:
-                    out.append(MumfordDivisor(u, (v0, v1)))
+            a, b, c = (u1 * u1 - 4 * u0) % p, (2 * f1 * u1 - 4 * f0) % p, f1 * f1 % p
+            if a:
+                ts = [(r - b) * inv[2 * a % p] % p for r in roots.get((b * b - 4 * a * c) % p, ())]
+            elif b or c:
+                ts = [-c * inv[b] % p] if b else []
+            else:  # u = (x - r)^2 with f(r) = f'(r) = 0
+                raise RuntimeError(f"f is not squarefree: every v1 solves u = {u}")
+            for v1 in sorted(v1 for t in ts if t for v1 in roots.get(t, ())):
+                out.append(MumfordDivisor(u, ((f1 + v1 * v1 * u1) * inv[2 * v1 % p] % p, v1)))
+    return out
+
+
+def _symmetric_map(neg: list[int], image) -> list[int]:
+    """image(i) for every index i, computed once per pair i, neg[i]:
+    the map commutes with negation."""
+    out = [-1] * len(neg)
+    for i, n in enumerate(neg):
+        if out[i] < 0:
+            k = image(i)
+            out[n], out[i] = neg[k], k  # in this order, so n = i keeps k
     return out
 
 
@@ -420,28 +438,41 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
     elements killed by q^j, the count of factors divisible by q^j is
     log_q(T_j / T_{j-1}).
 
-    Multiplication by q runs as a binary ladder over element indices:
-    doublings are lookups in one table of 2*e built up front, so only
-    the additions compose.
+    A prime q with v_q(N) = 1 needs no map: the Sylow q-subgroup has
+    order q, and a group of prime order is cyclic, so the chain is [1].
+    For the others, multiplication by q runs as a binary ladder over
+    element indices: doublings are lookups in one table of 2*e built up
+    front, so only the additions compose.  The table and each ladder
+    compose for one element of each pair P, -P and take the other from
+    [k](-P) = -[k]P, which holds because [k] is a homomorphism; -(u, v)
+    is (u, -v mod u), an index lookup.
     """
     elements = all_divisors(curve)
     N = len(elements)
     index = _Index((d, i) for i, d in enumerate(elements))
     if len(index) != N:
         raise RuntimeError("divisor enumeration produced duplicates")
-    dbl = [index[compose(d, d, curve)] for d in elements]
+    prime_powers = factorize(N).factors
+    if any(v > 1 for _, v in prime_powers):
+        neg = [index[negate(d, curve)] for d in elements]
+        dbl = _symmetric_map(neg, lambda i: index[compose(elements[i], elements[i], curve)])
 
     exponents_by_prime: dict[int, list[int]] = {}
-    for q, _ in factorize(N).factors:
+    for q, v in prime_powers:
+        if v == 1:
+            exponents_by_prime[q] = [1]
+            continue
         bits = bin(q)[3:]  # below the leading bit, which takes the element itself
-        phi = []
-        for i, d in enumerate(elements):
+
+        def ladder(i: int) -> int:
             acc = i
             for bit in bits:
                 acc = dbl[acc]
                 if bit == "1":
-                    acc = index[compose(elements[acc], d, curve)]
-            phi.append(acc)
+                    acc = index[compose(elements[acc], elements[i], curve)]
+            return acc
+
+        phi = _symmetric_map(neg, ladder)
         image = list(range(N))
         sizes = [N]
         while True:

@@ -10,6 +10,7 @@ from cmgenus2.cantor import (
     IDENTITY,
     MumfordDivisor,
     _cantor,
+    _trim,
     all_divisors,
     compose,
     enumerate_jacobian,
@@ -17,7 +18,9 @@ from cmgenus2.cantor import (
     negate,
     p_add,
     p_divmod,
+    p_mod,
     p_mul,
+    p_sub,
     p_xgcd,
     padded_invariant_factors,
     point_count_order,
@@ -25,6 +28,7 @@ from cmgenus2.cantor import (
     scalar_mul,
 )
 from cmgenus2.frobenius import hasse_weil_check
+from cmgenus2.integerkit import factorize
 
 C5 = GenusTwoCurve(5, (0, 1, 0, 0, 0, 1))  # y^2 = x^5 + x over F_5
 
@@ -81,6 +85,38 @@ def test_all_divisors_are_valid():
         assert len(ds) == len(set(ds))
         for d in ds:
             assert is_valid_divisor(d, curve)
+
+
+def _brute_force_divisors(curve):
+    """Every pair with u monic of degree <= 2, deg v < deg u and
+    u | f - v^2, in the order all_divisors lists them: by degree, a
+    point's u by its root, a quadratic u by (u1, u0), v by (v1, v0)."""
+    p, f = curve.p, curve.f
+    pairs = [((1,), ())]
+    pairs += [((-r % p, 1), _trim([s])) for r in range(p) for s in range(p)]
+    pairs += [((u0, u1, 1), _trim([v0, v1])) for u1 in range(p) for u0 in range(p)
+              for v1 in range(p) for v0 in range(p)]
+    return [MumfordDivisor(u, v) for u, v in pairs if not p_mod(p_sub(f, p_mul(v, v, p), p), u, p)]
+
+
+def test_all_divisors_match_brute_force():
+    rng = random.Random(48)
+    curves = [random_curve(rng, pmax=p, pmin=p) for p in (5, 5, 7, 7, 11, 13)]
+    with_v1_zero = 0  # degree-2 classes with v1 = 0 need f mod u = f0
+    for curve in curves:
+        expected = _brute_force_divisors(curve)
+        assert all_divisors(curve) == expected, curve
+        with_v1_zero += sum(1 for d in expected if len(d.u) == 3 and len(d.v) < 2)
+    assert with_v1_zero
+
+
+def test_all_divisors_rejects_a_repeated_root():
+    # on y^2 = x^5, u = x^2 divides f - v^2 for every v = v1 x
+    curve = object.__new__(GenusTwoCurve)
+    object.__setattr__(curve, "p", 5)
+    object.__setattr__(curve, "f", (0, 0, 0, 0, 0, 1))
+    with pytest.raises(RuntimeError, match="not squarefree"):
+        all_divisors(curve)
 
 
 def test_identity_and_inverses():
@@ -249,18 +285,38 @@ def test_enumeration_at_largest_supported_field():
 
 def test_torsion_counts_match_structure():
     # number of d-torsion elements is prod_i gcd(d, d_i)
-    # (scalar_mul does not use enumerate_jacobian's doubling table)
+    # (scalar_mul does not use enumerate_jacobian's doubling table); every
+    # prime q | N is counted too, so that one dividing N once, whose
+    # chain enumerate_jacobian takes without a map, has exactly q
     rng = random.Random(45)
+    simple = []
     for _ in range(6):
         curve = random_curve(rng, pmax=31)
-        _, factors = enumerate_jacobian(curve)
+        N, factors = enumerate_jacobian(curve)
         ds = all_divisors(curve)
-        for d in range(2, 13):
+        prime_powers = factorize(N).factors
+        for d in sorted(set(range(2, 13)) | {q for q, _ in prime_powers}):
             count = sum(1 for x in ds if scalar_mul(d, x, curve) == IDENTITY)
             expect = 1
             for fac in factors:
                 expect *= math.gcd(d, fac)
             assert count == expect
+            if (d, 1) in prime_powers:
+                assert count == d
+                simple.append(d)
+    assert max(simple) > 12, simple
+
+
+def test_squarefree_order_composes_nothing(monkeypatch):
+    # every Sylow subgroup has prime order, so no multiplication map runs;
+    # N = 30 = 2 * 3 * 5 at p = 5 and N = 77 = 7 * 11 at p = 7
+    def no_compose(*args):
+        raise RuntimeError("enumerate_jacobian composed a divisor")
+
+    curves = (GenusTwoCurve(5, (1, 4, 4, 3, 1, 1)), GenusTwoCurve(7, (1, 3, 5, 0, 0, 1)))
+    expected = [[30], [77]]
+    monkeypatch.setattr(cantor, "compose", no_compose)
+    assert [enumerate_jacobian(c)[1] for c in curves] == expected
 
 
 def test_padded_invariant_factors():
