@@ -10,7 +10,8 @@ squarefree over F_p, p an odd prime between 5 and 61 (every curve with a
 rational Weierstrass point converts to this form, and the structural
 claims under test do not depend on the degree-6 generality).  Divisor
 classes are Mumford pairs (u, v), u monic of degree at most 2,
-deg v < deg u, u | f - v^2.
+deg v < deg u, u | f - v^2, held as ``MumfordDivisor`` named tuples
+(hashed and compared in C); -(u, v) = (u, -v), with no division.
 
 ``compose`` takes nearly every input in closed form, after Lange
 ("Formulae for arithmetic on genus 2 hyperelliptic curves", AAECC 15,
@@ -35,8 +36,10 @@ class of each pair P, -P.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .integerkit import factorize, is_probable_prime
 
@@ -149,8 +152,7 @@ class GenusTwoCurve:
             raise ValueError("f must be squarefree")
 
 
-@dataclass(frozen=True)
-class MumfordDivisor:
+class MumfordDivisor(NamedTuple):
     u: Poly
     v: Poly
 
@@ -171,10 +173,11 @@ def is_valid_divisor(d: MumfordDivisor, curve: GenusTwoCurve) -> bool:
 def compose(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
     """The reduced sum d1 + d2.
 
-    u1 = u2 with v1 + v2 = 0 gives the identity.  A degree-1 operand takes
-    ``_add_point``, two degree-2 ones ``_explicit``.  A zero resultant there
-    means a rational root r of u2 (addition) or u1 (doubling), and the
-    degree-2 operand splits into the points at r and at its other root s:
+    u1 = u2 with v2 = -v1, compared coefficient-wise (both are reduced),
+    gives the identity.  A degree-1 operand takes ``_add_point``, two
+    degree-2 ones ``_explicit``.  A zero resultant there means a rational
+    root r of u2 (addition) or u1 (doubling), and the degree-2 operand
+    splits into the points at r and at its other root s:
     D1 + D2 = (D1 + (s, v2(s))) + (r, v2(r)), and in doubling v1(r) = 0,
     so 2*D1 = 2*(s, v1(s)).  A point on a root of the degree-2 operand,
     and u1 = u2 with v1 != +-v2, go to ``_cantor``.
@@ -186,9 +189,8 @@ def compose(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> Mum
     p = curve.p
     if len(d1.u) > len(d2.u):
         d1, d2 = d2, d1
-    u1, v1 = d1.u, d1.v
-    u2, v2 = d2.u, d2.v
-    if u1 == u2 and not p_add(v1, v2, p):
+    (u1, v1), (u2, v2) = d1, d2
+    if u1 == u2 and v2 == p_neg(v1, p):
         return IDENTITY
     if len(u1) == 2:
         out = _add_point(-u1[0] % p, v1[0] if v1 else 0, u2, v2, curve)
@@ -320,8 +322,7 @@ def _explicit(u1: Poly, v1: Poly, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> M
 def _cantor(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
     """Cantor composition followed by reduction to degree <= 2."""
     p, f = curve.p, curve.f
-    u1, v1 = d1.u, d1.v
-    u2, v2 = d2.u, d2.v
+    (u1, v1), (u2, v2) = d1, d2
     d0, e1, e2 = p_xgcd(u1, u2, p)
     d, c1, c2 = p_xgcd(d0, p_add(v1, v2, p), p)
     s1 = p_mul(c1, e1, p)
@@ -352,7 +353,8 @@ def _cantor(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> Mum
 
 
 def negate(d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
-    return MumfordDivisor(d.u, p_mod(p_neg(d.v, curve.p), d.u, curve.p))
+    """(u, -v), coefficient-wise: deg v < deg u, so -v is reduced mod u."""
+    return MumfordDivisor(d.u, p_neg(d.v, curve.p))
 
 
 def scalar_mul(k: int, d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
@@ -395,9 +397,10 @@ def all_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
     for u1 in range(p):
         for u0 in range(p):
             u = (u0, u1, 1)
-            f1 = f0 = 0  # Horner's rule with x^2 = -u1 x - u0
+            f1 = f0 = 0  # Horner's rule with x^2 = -u1 x - u0, reduced once
             for c in reversed(f):
-                f1, f0 = (f0 - f1 * u1) % p, (c - f1 * u0) % p
+                f1, f0 = f0 - f1 * u1, c - f1 * u0
+            f1, f0 = f1 % p, f0 % p
             for s in roots.get(f0, ()) if f1 == 0 else ():
                 out.append(MumfordDivisor(u, (s,) if s else ()))
             a, b, c = (u1 * u1 - 4 * u0) % p, (2 * f1 * u1 - 4 * f0) % p, f1 * f1 % p
@@ -497,17 +500,9 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
             ]
 
     k = max((len(e) for e in exponents_by_prime.values()), default=0)
-    descending = []
-    for i in range(k):
-        d = 1
-        for q, exps in exponents_by_prime.items():
-            if i < len(exps):
-                d *= q ** exps[i]
-        descending.append(d)
-    factors = sorted(descending)
-    prod = 1
-    for d in factors:
-        prod *= d
+    factors = sorted(math.prod(q ** exps[i] for q, exps in exponents_by_prime.items()
+                               if i < len(exps)) for i in range(k))
+    prod = math.prod(factors)
     if prod != N:
         raise RuntimeError(f"invariant factors multiply to {prod}, not {N}")
     return N, factors

@@ -20,6 +20,7 @@ All big integers are printed as exact decimal strings in JSON mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -345,7 +346,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; each parse fills a fresh namespace."""
     parser = _Parser(
         prog="cmgenus2",
         description="Genus-2 Jacobian parameter generation over quartic CM fields",

@@ -20,6 +20,7 @@ from cmgenus2.cantor import (
     p_divmod,
     p_mod,
     p_mul,
+    p_neg,
     p_sub,
     p_xgcd,
     padded_invariant_factors,
@@ -120,10 +121,18 @@ def test_all_divisors_rejects_a_repeated_root():
 
 
 def test_identity_and_inverses():
-    ds = all_divisors(C5)
-    for d in ds:
-        assert compose(IDENTITY, d, C5) == d
-        assert compose(d, negate(d, C5), C5) == IDENTITY
+    # negate skips the reduction of -v mod u: deg v < deg u already
+    rng = random.Random(49)
+    curves = [C5] + [random_curve(rng, pmax=p, pmin=p) for p in (5, 7, 11, 13, 31)]
+    for curve in curves:
+        p = curve.p
+        for d in all_divisors(curve):
+            assert compose(IDENTITY, d, curve) == d
+            assert negate(d, curve) == (d.u, p_mod(p_neg(d.v, p), d.u, p))
+            assert compose(d, negate(d, curve), curve) == IDENTITY
+    # a class is the plain tuple (u, v)
+    d = MumfordDivisor((4, 1), (2,))
+    assert d == ((4, 1), (2,)) and hash(d) == hash(((4, 1), (2,)))
 
 
 def test_group_law_commutative_associative():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from cmgenus2 import cantor, frobenius, golden, integerkit, primegen, structure
-from cmgenus2.cli import main
+from cmgenus2.cli import build_parser, main
 
 
 @pytest.fixture
@@ -319,24 +319,24 @@ def _off_curve_doubling(monkeypatch):
     monkeypatch.setattr(cantor, "compose", compose)
 
 
-@pytest.mark.parametrize("fault, seed, message",
-                         [(_negated_explicit, 9, "image size ratio"),
-                          (_off_curve_doubling, 0, "not an enumerated divisor")],
-                         ids=["negated-explicit", "off-curve-doubling"])
+@pytest.mark.parametrize(
+    "fault, seed, message",
+    [(_negated_explicit, 9, "error: image size ratio is not a power of 3"),
+     (_off_curve_doubling, 0,
+      "error: MumfordDivisor(u=(0, 0, 1), v=(1,)) is not an enumerated divisor")],
+    ids=["negated-explicit", "off-curve-doubling"])
 def test_oracle_cantor_fault_exit_code(monkeypatch, capsys, fault, seed, message):
     # a wrong group law fails the image-size check, a sum off the curve
     # the element lookup; both are computation errors, not tracebacks.
     # Seed 9 draws N = 81 = 3^4, whose 3-ladder adds; at seed 0, N = 40 =
     # 2^3 * 5 maps only q = 2, by doublings, which a negated sum leaves
-    # with the same image sizes.
+    # with the same image sizes.  The whole line is pinned, so the class
+    # repr in the lookup fault cannot change unnoticed.
     fault(monkeypatch)
     assert main(["oracle", "--curves", "1", "--pmax", "11", "--seed", str(seed)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:")
-    assert message in lines[0]
-    assert "Traceback" not in captured.err
+    assert captured.err.splitlines() == [message]
 
 
 def test_verify_passes(capsys):
@@ -395,6 +395,26 @@ def test_oracle_deterministic(capsys):
     out2 = capsys.readouterr().out
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys, field2_cfg):
+    # one parser serves every main() in the process; no flag may carry over
+    assert build_parser() is build_parser()
+    oracle = ["oracle", "--curves", "1", "--pmax", "11"]
+    assert run_json(capsys, oracle + ["--json"])[0] == 0
+    assert main(oracle) == 0
+    assert capsys.readouterr().out.startswith("curves: 1\npmax: 11\n")
+    analyze = ["analyze", field2_cfg, "--omega", "7,-1,2,1", "--json"]
+    rc, twisted = run_json(capsys, analyze + ["--twist"])
+    assert rc == 0 and twisted["omega_xi"] == ["-7", "1", "-2", "-1"]
+    rc, plain = run_json(capsys, analyze)
+    assert rc == 0 and plain["omega_xi"] == ["7", "-1", "2", "1"]
+    assert plain["N"] == "3356" and plain["warnings"] == []
+    assert main(["oracle", "--pmax"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_oracle_precondition(capsys):
