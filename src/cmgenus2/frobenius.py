@@ -2,12 +2,12 @@
 
 For omega = c1 + c2*xi + (c3 + c4*xi)*eta with rational complex norm
 p = omega * conj(omega), the degree-4 characteristic polynomial of
-multiplication by omega is, in closed form,
+multiplication by omega = A + B*eta is the norm from K0 to Q of
+(X - omega)(X - conj(omega)) = X^2 - 2A*X + p:
 
-    X^4 - 4*c1*X^3 + (2p + 4(c1^2 - c2^2*D))*X^2 - 4*c1*p*X + p^2
-        (D = 2, 3 mod 4)
-    X^4 - (4*c1 + 2*c2)*X^3 + (2p + (2*c1 + c2)^2 - c2^2*D)*X^2
-        - (4*c1 + 2*c2)*p*X + p^2                     (D = 1 mod 4)
+    X^4 - 2*Tr(A)*X^3 + (2p + 4*N(A))*X^2 - 2*Tr(A)*p*X + p^2
+
+with Tr and N taken from K0 to Q and A = c1 + c2*xi.
 
 The group of rational points of a Jacobian with this Frobenius has order
 N = P(1).  The element and its negative yield the same prime p but the
@@ -16,13 +16,13 @@ curve realizes is decided by point counting, outside this package's
 scope, so both orders are exposed.
 
 The coefficients are the plain tuple (1, t3, t2, t3*p, p^2), so the Weil
-symmetry holds by construction and N = sum(coeffs).  Each closed form is
+symmetry holds by construction and N = sum(coeffs).  The closed form is
 checked against the multiplication-matrix oracle on demand.
 """
 
 from __future__ import annotations
 
-from .cmfield import FieldCase, ValidatedField
+from .cmfield import FieldCase, ValidatedField, radicand_norm
 from .quartic import ONE, OracleMismatch, QuarticInt, char_poly_oracle, det4, mult_matrix
 
 
@@ -31,13 +31,9 @@ def closed_form_char_poly(
 ) -> tuple[int, int, int, int, int]:
     """Coefficients of the quartic for coordinates c with rational norm p."""
     c1, c2 = c[0], c[1]
-    if field.case is FieldCase.CASE23:
-        t3 = -4 * c1
-        t2 = 2 * p + 4 * (c1 * c1 - c2 * c2 * field.D)
-    else:
-        t3 = -(4 * c1 + 2 * c2)
-        t2 = 2 * p + (2 * c1 + c2) ** 2 - c2 * c2 * field.D
-    return (1, t3, t2, t3 * p, p * p)
+    trace = 2 * c1 + (c2 if field.case is FieldCase.CASE1 else 0)  # Tr(xi) is 1 or 0
+    t3 = -2 * trace
+    return (1, t3, 2 * p + 4 * radicand_norm(field.D, c1, c2), t3 * p, p * p)
 
 
 def char_poly(cert, check_oracle: bool = False) -> tuple[int, int, int, int, int]:

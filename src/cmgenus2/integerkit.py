@@ -239,9 +239,7 @@ def factorize(n: int) -> Factorization:
         c = pending.pop()
         if c == 1:
             continue
-        if c <= TRIAL_LIMIT * TRIAL_LIMIT or is_probable_prime(c):
-            # survivors have no factor below the trial wall, so anything
-            # under its square is prime outright
+        if survivor_is_prime(c):
             found[c] = found.get(c, 0) + _extract(c, pending)
             continue
         g = _brent_rho(c, rng, RHO_ITERS)
@@ -252,6 +250,13 @@ def factorize(n: int) -> Factorization:
         pending.append(c // g)
 
     return Factorization(tuple(sorted(found.items())), composite_leftover)
+
+
+def survivor_is_prime(m: int) -> bool:
+    """Whether m > 1, which has no prime factor up to ``TRIAL_LIMIT``, is
+    prime: outright up to ``TRIAL_LIMIT`` squared, else by the
+    probable-prime test.  The limit is read at call time."""
+    return m <= TRIAL_LIMIT * TRIAL_LIMIT or is_probable_prime(m)
 
 
 def _extract(p: int, pending: list[int]) -> int:

@@ -2,17 +2,15 @@
 
 The search picks a coprime pair (c3, c4), solves the vanishing of the
 xi-component of omega * conj(omega) by a divisor choice, and tests the
-resulting rational norm for primality:
+resulting rational norm for primality.  With r the xi-coordinate of
+``eta_part_norm(c3, c4)`` = (c3 + c4*xi)^2 * (a + b*xi), the xi-component
+is r plus that of (c1 + c2*xi)^2:
 
-  D = 2, 3 (mod 4):  the xi-component is 2*c1*c2 - 2n with
-      2n = -2*c3*c4*a - c3^2*b - c4^2*b*D, so (c3, c4) must make 2n even
-      and then c1 runs over divisors of n with c2 = n/c1.
+  D = 2, 3 (mod 4):  2*c1*c2 + r, so (c3, c4) must make r even and then
+      c1 runs over divisors of n = -r/2 with c2 = n/c1.
 
-  D = 1 (mod 4):  with S8 = 4*c3^2*b + 8*c3*c4*(a+b) + c4^2*(b*(D+3) + 4a)
-      the component vanishes iff c2*(2*c1 + c2) = m where m = -S8/4, so
-      4 | S8 is required and c2 runs over divisors of m with m/c2 = c2
-      (mod 2).  Every accepted solution is re-verified by exact
-      multiplication in O_K0; the closed forms never get the final word.
+  D = 1 (mod 4):  c2*(2*c1 + c2) + r, so c2 runs over divisors of
+      m = -r with m/c2 = c2 (mod 2).
 
 c1 (or c2) runs over the divisors of the part of |n| (or |m|) that trial
 division up to ``TRIAL_WALL`` finds and their complements |n|/d: every
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 
 from .cmfield import FieldCase, ValidatedField
 from .integerkit import divisors, is_probable_prime, trial_division
-from .quartic import OracleMismatch, norm_residual
+from .quartic import OracleMismatch, eta_part_norm, norm_residual
 
 
 TRIAL_WALL = 10**4  # trial-division limit for the divisor-equation right side
@@ -82,8 +80,7 @@ def make_certificate(field: ValidatedField, c: tuple[int, int, int, int]) -> Ome
 
     Raises InvalidOmega when the norm has a nonzero xi-component or the
     pair (c3, c4) shares an odd factor, CompositeP when the norm is even
-    or fails the primality test.  ``norm_residual`` has already confirmed
-    the closed-form norm by exact ring multiplication.
+    or fails the primality test.
     """
     p, residual = norm_residual(c, field)
     if residual != 0:
@@ -111,9 +108,7 @@ def negate(cert: OmegaCertificate) -> OmegaCertificate:
 
 def pair_admissible_23(field: ValidatedField, c3: int, c4: int) -> bool:
     """gcd(c3, c4) = 1 and the divisor equation has an integer right side."""
-    if math.gcd(c3, c4) != 1:
-        return False
-    return (c3 * c3 * field.b + c4 * c4 * field.b * field.D) % 2 == 0
+    return math.gcd(c3, c4) == 1 and eta_part_norm(c3, c4, field)[1] % 2 == 0
 
 
 def _right_side_divisors(n: int) -> list[int]:
@@ -134,8 +129,7 @@ def solve_divisor_equation_23(field: ValidatedField, c3: int, c4: int) -> list[t
     """
     if not pair_admissible_23(field, c3, c4):
         raise NoIntegralSolution(f"pair ({c3}, {c4}) fails gcd or parity")
-    two_n = -2 * c3 * c4 * field.a - c3 * c3 * field.b - c4 * c4 * field.b * field.D
-    n = two_n // 2
+    n = -eta_part_norm(c3, c4, field)[1] // 2
     if n == 0:
         raise NoIntegralSolution("degenerate pair with n = 0")
     out = []
@@ -150,16 +144,12 @@ def solve_divisor_equation_1(field: ValidatedField, c3: int, c4: int) -> list[tu
     when at most one prime of m lies above ``TRIAL_WALL``.
 
     The odd parts of c3 and c4 must be coprime.  Raises NoIntegralSolution
-    when 4 does not divide S8, no divisor tried has the parity that makes
-    c1 integral, or m is zero.
+    when no divisor tried has the parity that makes c1 integral, or m is
+    zero.
     """
     if math.gcd(odd_part(c3), odd_part(c4)) != 1:
         raise NoIntegralSolution(f"pair ({c3}, {c4}) shares an odd factor")
-    a, b, D = field.a, field.b, field.D
-    s8 = 4 * c3 * c3 * b + 8 * c3 * c4 * (a + b) + c4 * c4 * (b * (D + 3) + 4 * a)
-    if s8 % 4:
-        raise NoIntegralSolution(f"4 does not divide S8 = {s8}")
-    m = -s8 // 4
+    m = -eta_part_norm(c3, c4, field)[1]
     if m == 0:
         raise NoIntegralSolution("degenerate pair with m = 0")
     out = []

@@ -10,22 +10,21 @@ this basis only.  Multiplication reduces by
 
 and complex conjugation sends eta to -eta.
 
-The closed-form norm components evaluated by ``norm_residual`` contain
-denominators 4 and 8 in the D = 1 (mod 4) case, so they are computed as
-8 times the stated quantities in pure integers and the scale is removed
-afterwards; exact multiplication in O_K0 remains the arbiter and any
-disagreement raises OracleMismatch (a bug, never bad input).
+For omega = A + B*eta with A, B in O_K0, omega * conj(omega) is
+A^2 + B^2*(a + b*xi); ``eta_part_norm`` is the one place that spells out
+the second term, and ``norm_residual`` and the prime search read it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .cmfield import FieldCase, ValidatedField
 
 
 class OracleMismatch(RuntimeError):
-    """A closed-form value contradicts exact ring arithmetic."""
+    """A closed-form value contradicts an independent oracle."""
 
 
 @dataclass(frozen=True)
@@ -98,18 +97,11 @@ def mult_matrix(u: QuarticInt, field: ValidatedField) -> list[list[int]]:
     return [[cols[j][i] for j in range(4)] for i in range(4)]
 
 
-_PERMS_4: list[tuple[tuple[int, ...], int]] = []
-
-
-def _init_perms() -> None:
-    import itertools
-
-    for perm in itertools.permutations(range(4)):
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4) if perm[i] > perm[j])
-        _PERMS_4.append((perm, -1 if inv % 2 else 1))
-
-
-_init_perms()
+# every permutation of range(4) with its sign, for the Leibniz expansion
+_PERMS_4 = tuple(
+    (perm, (-1) ** sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4)))
+    for perm in itertools.permutations(range(4))
+)
 
 
 def det4(m: list[list[int]]) -> int:
@@ -152,50 +144,24 @@ def char_poly_oracle(u: QuarticInt, field: ValidatedField) -> list[int]:
     return [acc[4], acc[3], acc[2], acc[1], acc[0]]
 
 
+def eta_part_norm(c3: int, c4: int, field: ValidatedField) -> tuple[int, int]:
+    """B^2*(a + b*xi) in O_K0 for B = c3 + c4*xi, as a pair on {1, xi}:
+    the eta-part's share of omega * conj(omega)."""
+    b = (c3, c4)
+    return _k0_mul(_k0_mul(b, b, field), (field.a, field.b), field)
+
+
 def norm_residual(
     c: tuple[int, int, int, int], field: ValidatedField
 ) -> tuple[int, int]:
-    """Evaluate the closed-form components of omega * conj(omega).
+    """The components of omega * conj(omega) = A^2 + B^2*(a + b*xi).
 
-    Returns (p_candidate, residual) where the product equals
-    p_candidate + residual*xi; the element has rational complex norm
-    exactly when residual is zero.  For D = 1 (mod 4) the closed forms
-    are evaluated at scale 8 in integers (the sqrt(D)-component is
-    residual/2 there, zero iff residual is).  The result is cross-checked
-    against the exact product A^2 + B^2*(a + b*xi) in O_K0, with
-    omega = A + B*eta (the eta-part of omega * conj(omega) is identically
-    0); disagreement means a transcribed formula is wrong and raises
-    OracleMismatch.
+    Returns (p_candidate, residual) where, for omega = A + B*eta, the
+    product equals p_candidate + residual*xi (its eta-part is identically
+    0); the element has rational complex norm exactly when residual is
+    zero.
     """
     c1, c2, c3, c4 = c
-    D, a, b = field.D, field.a, field.b
-    if field.case is FieldCase.CASE23:
-        p_part = c1 * c1 + c2 * c2 * D + c3 * c3 * a + c4 * c4 * a * D + 2 * c3 * c4 * b * D
-        z_part = 2 * c1 * c2 + c3 * c3 * b + c4 * c4 * b * D + 2 * c3 * c4 * a
-    else:
-        p8 = (
-            8 * c1 * c1
-            + 8 * c1 * c2
-            + 2 * c2 * c2 * (1 + D)
-            + c3 * c3 * (8 * a + 4 * b)
-            + c3 * c4 * (4 * b * (D + 1) + 8 * a)
-            + c4 * c4 * (b * (3 * D + 1) + 2 * a * (D + 1))
-        )
-        z8 = (
-            8 * c1 * c2
-            + 4 * c2 * c2
-            + 4 * c3 * c3 * b
-            + 8 * c3 * c4 * (a + b)
-            + c4 * c4 * (b * (D + 3) + 4 * a)
-        )
-        if z8 % 4 or (p8 - z8) % 8:
-            raise OracleMismatch(f"scaled norm components not integral at {c}")
-        z_part = z8 // 4
-        p_part = (p8 - z8) // 8
-
     aa = _k0_mul((c1, c2), (c1, c2), field)
-    bb_eta2 = _k0_mul(_k0_mul((c3, c4), (c3, c4), field), (a, b), field)
-    prod = (aa[0] + bb_eta2[0], aa[1] + bb_eta2[1])
-    if prod != (p_part, z_part):
-        raise OracleMismatch(f"closed form {(p_part, z_part)} != ring product {prod} at {c}")
-    return p_part, z_part
+    bb = eta_part_norm(c3, c4, field)
+    return aa[0] + bb[0], aa[1] + bb[1]

@@ -211,12 +211,19 @@ def test_search_prime_seed_variation():
 def test_search_prime_frozen_certificates():
     # pins the reproducibility contract across releases; update only with
     # a deliberate generator change
-    cert = search_prime(F2, 32, 2024)
-    assert cert.c == (-94799, 1, 118, 201)
-    assert cert.p == 8987134727
-    cert5 = search_prime(F5, 32, 2024)
-    assert cert5.c == (-14999, 30020, -510, 188)
-    assert cert5.p == 1127630233
+    frozen = (
+        (F2, 32, 2024, (-94799, 1, 118, 201), 8987134727),
+        (F5, 32, 2024, (-14999, 30020, -510, 188), 1127630233),
+        (F2, 128, 0, (113, -9608145324608064017, -6933291276, 40246287023),
+         184632913157575605178302919284216946423),
+        (F5, 128, 0, (13251524034851152779, -8, 2464763530, 2914441782),
+         175602889246237776304909004041773714337),
+        (F3, 40, 77, (1497747, -39, 1594, 3187), 2243472100223),
+        (F13, 40, 77, (-1966653, 1922, -43132, 56300), 3937199341429),
+    )
+    for field, bits, seed, c, p in frozen:
+        cert = search_prime(field, bits, seed)
+        assert (cert.c, cert.p) == (c, p), (field.D, bits, seed)
 
 
 def test_search_runs_no_rho(monkeypatch):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cmgenus2.cmfield import validate
 from cmgenus2.quartic import (
     ONE,
-    OracleMismatch,
     QuarticInt,
     char_poly_oracle,
     conj_complex,
@@ -155,8 +154,8 @@ def test_norm_residual_case1_reference():
 
 
 def test_norm_residual_agrees_with_ring_on_random_input():
-    # the closed forms must match exact multiplication on every input,
-    # including invalid elements with nonzero residual
+    # the O_K0 product must match full-ring multiplication on every
+    # input, including invalid elements with nonzero residual
     rng = random.Random(12)
     for field in ALL_FIELDS:
         for _ in range(1000):
@@ -181,8 +180,8 @@ def wide_coordinates(draw) -> tuple[int, int, int, int]:
 @settings(max_examples=200, deadline=None)
 @given(field=st.sampled_from(ALL_FIELDS), c=wide_coordinates())
 def test_norm_residual_is_the_full_ring_product(field, c):
-    # norm_residual checks itself in O_K0 only; the full ring product
-    # stays the independent oracle, its eta-coordinates identically 0
+    # norm_residual computes in O_K0 only; the full ring product stays
+    # the independent oracle, its eta-coordinates identically 0
     p_part, z_part = norm_residual(c, field)
     u = QuarticInt(*c)
     assert mul(u, conj_complex(u), field).coords() == (p_part, z_part, 0, 0)
