@@ -135,11 +135,11 @@ def field_view(field: ValidatedField, basis: Basis, raw_ab: tuple[int, int]) -> 
         "input_basis": basis.value,
         "input_a": raw_ab[0],
         "input_b": raw_ab[1],
-        "case": field.case.value,
+        "case": "1 mod 4" if field.D % 4 == 1 else "2,3 mod 4",
         "Q": field.Q,
         "primitive": field.primitive,
     }
-    if field.case is cmfield.FieldCase.CASE1 and field.b % 2 == 0:
+    if field.D % 4 == 1 and field.b % 2 == 0:
         # the bound evaluated on the sqrt(D)-basis constants, for reference
         a, b, _, _ = cmfield.basis_convert((field.a, field.b, 0, 0), Basis.XI, Basis.SQRT_D, field.D)
         view["Q_sqrtD_basis"] = cmfield.compute_Q(field.D, a, b)

@@ -14,11 +14,13 @@ invariant factor of the Jacobian group.
 Only class-number-one real subfields are supported, enforced through an
 explicit allowlist of D values.
 
-``ValidatedField`` is the one field record: D, a, b, Q and the
-primitivity flag, with ``validate`` its only constructor.  The helpers on
-a raw triple (``radicand_norm``, ``is_primitive``, ``compute_Q``) and
-``basis_convert`` take plain integers and tell the two cases apart by
-D mod 4; ``basis_convert`` on (a, b, 0, 0) moves field parameters
+The two cases differ in one fact: xi^2 = t*xi + n with (t, n) = (0, D)
+or (1, (D - 1)/4), which ``xi_square`` decides from D.  ``ValidatedField``
+is the one field record: D, a, b, Q and the primitivity flag, with
+``validate`` its only constructor; it carries (t, n) as ``xi_sq`` for the
+ring arithmetic.  The helpers on a raw triple (``radicand_norm``,
+``is_primitive``, ``compute_Q``) and ``basis_convert`` take plain
+integers; ``basis_convert`` on (a, b, 0, 0) moves field parameters
 between the bases.
 """
 
@@ -61,11 +63,6 @@ class NonIntegralConversion(FieldError):
     """Coordinate change would need half-integers."""
 
 
-class FieldCase(enum.Enum):
-    CASE23 = "2,3 mod 4"
-    CASE1 = "1 mod 4"
-
-
 class Basis(enum.Enum):
     XI = "xi"
     SQRT_D = "sqrtD"
@@ -78,11 +75,16 @@ class ValidatedField:
     b: int
     Q: int
     primitive: bool
-    # derived from D once per field; the ring arithmetic reads it per product
-    case: FieldCase = dataclasses.field(init=False, repr=False, compare=False)
+    # (t, n) of xi^2 = t*xi + n, derived from D once; the ring arithmetic reads it per product
+    xi_sq: tuple[int, int] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "case", FieldCase.CASE1 if self.D % 4 == 1 else FieldCase.CASE23)
+        object.__setattr__(self, "xi_sq", xi_square(self.D))
+
+
+def xi_square(D: int) -> tuple[int, int]:
+    """(t, n) with xi^2 = t*xi + n in O_K0."""
+    return (1, (D - 1) // 4) if D % 4 == 1 else (0, D)
 
 
 def _is_square(n: int) -> bool:
@@ -121,12 +123,8 @@ def validate(D: int, a: int, b: int) -> ValidatedField:
     if D not in SUPPORTED_D:
         raise UnsupportedD(f"D={D} is not on the class-number-one allowlist")
 
-    if D % 4 != 1:
-        positive = a > 0 and a * a > b * b * D
-    else:
-        s = 2 * a + b
-        positive = s > 0 and s * s > b * b * D
-    if not positive:
+    # both real embeddings are positive iff the trace and the norm to Q are
+    if 2 * a + xi_square(D)[0] * b <= 0 or radicand_norm(D, a, b) <= 0:
         raise NotTotallyPositive(f"a + b*xi with (D,a,b)=({D},{a},{b}) is not totally positive")
 
     return ValidatedField(D, a, b, compute_Q(D, a, b), is_primitive(D, a, b))
@@ -142,10 +140,9 @@ def require_primitive(field: ValidatedField) -> ValidatedField:
 
 
 def radicand_norm(D: int, a: int, b: int) -> int:
-    """Norm of a + b*xi from K0 down to Q (an integer in both cases)."""
-    if D % 4 != 1:
-        return a * a - b * b * D
-    return a * a + a * b + b * b * (1 - D) // 4
+    """Norm of a + b*xi from K0 down to Q: a^2 + t*a*b - n*b^2."""
+    t, n = xi_square(D)
+    return a * a + t * a * b - n * b * b
 
 
 def is_primitive(D: int, a: int, b: int) -> bool:
@@ -161,8 +158,8 @@ def is_primitive(D: int, a: int, b: int) -> bool:
 def compute_Q(D: int, a: int, b: int) -> int:
     """The largest odd prime bound from the field constants."""
     if D % 4 != 1:
-        return max(a, D, a * a - b * b * D)
-    return max(a, D, 4 * a * (a + b) - b * b * (D - 1), a * D + 2 * b * (D - 1))
+        return max(a, D, radicand_norm(D, a, b))
+    return max(a, D, 4 * radicand_norm(D, a, b), a * D + 2 * b * (D - 1))
 
 
 def basis_convert(

@@ -22,8 +22,8 @@ checked against the multiplication-matrix oracle on demand.
 
 from __future__ import annotations
 
-from .cmfield import FieldCase, ValidatedField, radicand_norm
-from .quartic import ONE, OracleMismatch, QuarticInt, char_poly_oracle, det4, mult_matrix
+from .cmfield import ValidatedField, radicand_norm
+from .quartic import OracleMismatch, char_poly_oracle, det4, mult_matrix
 
 
 def closed_form_char_poly(
@@ -31,8 +31,7 @@ def closed_form_char_poly(
 ) -> tuple[int, int, int, int, int]:
     """Coefficients of the quartic for coordinates c with rational norm p."""
     c1, c2 = c[0], c[1]
-    trace = 2 * c1 + (c2 if field.case is FieldCase.CASE1 else 0)  # Tr(xi) is 1 or 0
-    t3 = -2 * trace
+    t3 = -2 * (2 * c1 + field.xi_sq[0] * c2)  # -2*Tr(A), as Tr(xi) = t
     return (1, t3, 2 * p + 4 * radicand_norm(field.D, c1, c2), t3 * p, p * p)
 
 
@@ -46,7 +45,7 @@ def char_poly(cert, check_oracle: bool = False) -> tuple[int, int, int, int, int
     """
     coeffs = closed_form_char_poly(cert.field, cert.c, cert.p)
     if check_oracle:
-        oracle = char_poly_oracle(QuarticInt(*cert.c), cert.field)
+        oracle = char_poly_oracle(cert.c, cert.field)
         if list(coeffs) != oracle:
             raise OracleMismatch(f"closed form {coeffs} != matrix oracle {oracle}")
         if sum(coeffs) != group_order_oracle(cert.field, cert.c):
@@ -62,7 +61,8 @@ def twist_order(coeffs: tuple[int, int, int, int, int]) -> int:
 
 def group_order_oracle(field: ValidatedField, c: tuple[int, int, int, int]) -> int:
     """Independent order computation: det of multiplication by 1 - omega."""
-    return det4(mult_matrix(ONE - QuarticInt(*c), field))
+    c1, c2, c3, c4 = c
+    return det4(mult_matrix((1 - c1, -c2, -c3, -c4), field))
 
 
 def hasse_weil_check(N: int, p: int) -> bool:

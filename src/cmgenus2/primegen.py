@@ -4,12 +4,12 @@ The search picks a coprime pair (c3, c4), solves the vanishing of the
 xi-component of omega * conj(omega) by a divisor choice, and tests the
 resulting rational norm for primality.  With r the xi-coordinate of
 ``eta_part_norm(c3, c4)`` = (c3 + c4*xi)^2 * (a + b*xi), the xi-component
-is r plus that of (c1 + c2*xi)^2:
+is r plus that of (c1 + c2*xi)^2, which depends on t = Tr(xi):
 
-  D = 2, 3 (mod 4):  2*c1*c2 + r, so (c3, c4) must make r even and then
-      c1 runs over divisors of n = -r/2 with c2 = n/c1.
+  t = 0 (D = 2, 3 mod 4):  2*c1*c2 + r, so (c3, c4) must make r even
+      and then c1 runs over divisors of n = -r/2 with c2 = n/c1.
 
-  D = 1 (mod 4):  c2*(2*c1 + c2) + r, so c2 runs over divisors of
+  t = 1 (D = 1 mod 4):  c2*(2*c1 + c2) + r, so c2 runs over divisors of
       m = -r with m/c2 = c2 (mod 2).
 
 c1 (or c2) runs over the divisors of the part of |n| (or |m|) that trial
@@ -29,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .cmfield import FieldCase, ValidatedField
+from .cmfield import ValidatedField
 from .integerkit import divisors, is_probable_prime, trial_division
 from .quartic import OracleMismatch, eta_part_norm, norm_residual
 
@@ -188,14 +188,13 @@ def _sample_pair(rng: random.Random, lo_bits: int, hi_bits: int) -> tuple[int, i
 def search_prime(field: ValidatedField, target_bits: int, seed: int) -> OmegaCertificate:
     """Elementary-method search; deterministic for a fixed seed.
 
-    The divisor equation solved for each pair depends on the residue of D.
+    The divisor equation solved for each pair depends on t = Tr(xi).
     """
     if not 4 <= target_bits <= 1024:
         raise ValueError("target_bits must be between 4 and 1024")
     rng = random.Random(seed)
     lo_bits, hi_bits = _pair_bit_range(field, target_bits)
-    case1 = field.case is FieldCase.CASE1
-    solver = solve_divisor_equation_1 if case1 else solve_divisor_equation_23
+    solver = solve_divisor_equation_1 if field.xi_sq[0] else solve_divisor_equation_23
     tested = 0
     pair_cap = 50 * MAX_CANDIDATES
     for _ in range(pair_cap):

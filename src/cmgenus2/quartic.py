@@ -1,11 +1,11 @@
 """Exact arithmetic in the order O_K0 + eta*O_K0 of the quartic CM field.
 
-Elements are integer vectors (x0, x1, x2, x3) on the fixed basis
+Elements are integer 4-tuples (x0, x1, x2, x3) on the fixed basis
 {1, xi, eta, xi*eta}; every module in this package exchanges elements on
-this basis only.  Multiplication reduces by
+this basis only, and ``QuarticInt`` names the coordinates of such a
+tuple.  Multiplication reduces by
 
-    xi^2  = D                    (D = 2, 3 mod 4)
-    xi^2  = xi + (D - 1)/4       (D = 1 mod 4)
+    xi^2  = t*xi + n             ((t, n) = field.xi_sq, see ``cmfield``)
     eta^2 = -(a + b*xi)
 
 and complex conjugation sends eta to -eta.
@@ -18,17 +18,16 @@ the second term, and ``norm_residual`` and the prime search read it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .cmfield import FieldCase, ValidatedField
+from .cmfield import ValidatedField
 
 
 class OracleMismatch(RuntimeError):
     """A closed-form value contradicts an independent oracle."""
 
 
-@dataclass(frozen=True)
-class QuarticInt:
+class QuarticInt(NamedTuple):
     """x0 + x1*xi + (x2 + x3*xi)*eta with integer coordinates."""
 
     x0: int
@@ -36,41 +35,26 @@ class QuarticInt:
     x2: int
     x3: int
 
-    def coords(self) -> tuple[int, int, int, int]:
-        return (self.x0, self.x1, self.x2, self.x3)
-
-    def __add__(self, other: "QuarticInt") -> "QuarticInt":
-        return QuarticInt(
-            self.x0 + other.x0, self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3
-        )
-
-    def __sub__(self, other: "QuarticInt") -> "QuarticInt":
-        return QuarticInt(
-            self.x0 - other.x0, self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3
-        )
-
-
-ONE = QuarticInt(1, 0, 0, 0)
-
 
 def _k0_mul(p: tuple[int, int], q: tuple[int, int], field: ValidatedField) -> tuple[int, int]:
-    """Product of p0 + p1*w and q0 + q1*w in O_K0, w the basis generator."""
+    """Product of p0 + p1*xi and q0 + q1*xi in O_K0."""
     p0, p1 = p
     q0, q1 = q
-    if field.case is FieldCase.CASE23:
-        return (p0 * q0 + p1 * q1 * field.D, p0 * q1 + p1 * q0)
-    k = (field.D - 1) // 4
-    return (p0 * q0 + p1 * q1 * k, p0 * q1 + p1 * q0 + p1 * q1)
+    t, n = field.xi_sq
+    pq = p1 * q1
+    return (p0 * q0 + n * pq, p0 * q1 + p1 * q0 + t * pq)
 
 
-def mul(u: QuarticInt, v: QuarticInt, field: ValidatedField) -> QuarticInt:
+def mul(
+    u: tuple[int, int, int, int], v: tuple[int, int, int, int], field: ValidatedField
+) -> QuarticInt:
     """Exact ring product.
 
     Writing u = A + B*eta and v = C + E*eta with A, B, C, E in O_K0:
     u*v = (A*C - B*E*(a + b*xi)) + (A*E + B*C)*eta.
     """
-    A, B = (u.x0, u.x1), (u.x2, u.x3)
-    C, E = (v.x0, v.x1), (v.x2, v.x3)
+    (u0, u1, u2, u3), (v0, v1, v2, v3) = u, v
+    A, B, C, E = (u0, u1), (u2, u3), (v0, v1), (v2, v3)
     ac = _k0_mul(A, C, field)
     be = _k0_mul(B, E, field)
     ae = _k0_mul(A, E, field)
@@ -79,22 +63,20 @@ def mul(u: QuarticInt, v: QuarticInt, field: ValidatedField) -> QuarticInt:
     return QuarticInt(ac[0] + be_eta2[0], ac[1] + be_eta2[1], ae[0] + bc[0], ae[1] + bc[1])
 
 
-def conj_complex(u: QuarticInt) -> QuarticInt:
+def conj_complex(u: tuple[int, int, int, int]) -> QuarticInt:
     """Complex conjugation: eta -> -eta."""
-    return QuarticInt(u.x0, u.x1, -u.x2, -u.x3)
+    x0, x1, x2, x3 = u
+    return QuarticInt(x0, x1, -x2, -x3)
 
 
-def mult_matrix(u: QuarticInt, field: ValidatedField) -> list[list[int]]:
+def mult_matrix(u: tuple[int, int, int, int], field: ValidatedField) -> list[list[int]]:
     """4x4 integer matrix of multiplication by u on {1, xi, eta, xi*eta}.
 
     Column j holds the coordinates of u * basis_j, so the map is unital
     and multiplicative: mult_matrix(u*v) = mult_matrix(u) @ mult_matrix(v).
     """
-    cols = []
-    for e in (QuarticInt(1, 0, 0, 0), QuarticInt(0, 1, 0, 0),
-              QuarticInt(0, 0, 1, 0), QuarticInt(0, 0, 0, 1)):
-        cols.append(mul(u, e, field).coords())
-    return [[cols[j][i] for j in range(4)] for i in range(4)]
+    cols = [mul(u, e, field) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    return [list(row) for row in zip(*cols)]
 
 
 # every permutation of range(4) with its sign, for the Leibniz expansion
@@ -115,7 +97,7 @@ def det4(m: list[list[int]]) -> int:
     return total
 
 
-def char_poly_oracle(u: QuarticInt, field: ValidatedField) -> list[int]:
+def char_poly_oracle(u: tuple[int, int, int, int], field: ValidatedField) -> list[int]:
     """Characteristic polynomial of mult_matrix(u), exactly.
 
     Returns the five coefficients [1, t3, t2, t1, t0] of the monic quartic

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmgenus2.cmfield import (
+    SUPPORTED_D,
     Basis,
-    FieldCase,
     NonIntegralConversion,
     NotTotallyPositive,
     NotPrimitive,
@@ -23,7 +23,7 @@ from cmgenus2.cmfield import (
 
 def test_validate_reference_field():
     field = validate(2, 2, 1)
-    assert field.case is FieldCase.CASE23
+    assert field.xi_sq == (0, 2)
     assert field.primitive
     assert field.Q == 2
 
@@ -53,9 +53,32 @@ def test_validate_unsupported_allowlist():
 
 def test_case1_total_positivity():
     # 2a + b = 14 > 0 and 14^2 > 4*5
-    assert validate(5, 6, 2).case is FieldCase.CASE1
+    assert validate(5, 6, 2).xi_sq == (1, 1)
     with pytest.raises(NotTotallyPositive):
         validate(5, 1, -2)
+
+
+def _is_positive(x, y, D):
+    """x + y*sqrt(D) > 0, decided with integers (D is not a square)."""
+    if x >= 0 and y >= 0:
+        return x > 0 or y > 0
+    if x <= 0 and y <= 0:
+        return False
+    return (x > 0) == (x * x > y * y * D)
+
+
+def test_total_positivity_grid():
+    # a + b*xi has the real embeddings a +- b*sqrt(D) for D = 2, 3 (mod 4)
+    # and ((2a + b) +- b*sqrt(D))/2 for D = 1 (mod 4)
+    for D in sorted(SUPPORTED_D):
+        for a in range(-15, 16):
+            for b in range(-15, 16):
+                x = 2 * a + b if D % 4 == 1 else a
+                if _is_positive(x, b, D) and _is_positive(x, -b, D):
+                    validate(D, a, b)
+                else:
+                    with pytest.raises(NotTotallyPositive):
+                        validate(D, a, b)
 
 
 def test_primitivity():
@@ -157,8 +180,8 @@ def test_field_params_xi_to_sqrtd():
 def test_field_record_contract():
     field = validate(5, 6, 2)
     assert (field.D, field.a, field.b, field.Q, field.primitive) == (5, 6, 2, 176, True)
-    assert field.case is FieldCase.CASE1
+    assert field.xi_sq == (1, 1)
     again = validate(5, 6, 2)
     assert again == field and hash(again) == hash(field)
-    assert "case" not in repr(field)
+    assert "xi_sq" not in repr(field)
     assert not hasattr(field, "params")

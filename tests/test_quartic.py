@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmgenus2.cmfield import validate
+from cmgenus2.cmfield import SUPPORTED_D, radicand_norm, validate
 from cmgenus2.quartic import (
-    ONE,
     QuarticInt,
+    _k0_mul,
     char_poly_oracle,
     conj_complex,
     det4,
@@ -30,26 +30,40 @@ def rand_elt(rng, bound=1000):
 
 def test_xi_squared_reduction():
     xi = QuarticInt(0, 1, 0, 0)
-    assert mul(xi, xi, F2).coords() == (2, 0, 0, 0)
+    assert mul(xi, xi, F2) == (2, 0, 0, 0)
     # xi^2 = xi + 1 for D = 5
-    assert mul(xi, xi, F5).coords() == (1, 1, 0, 0)
+    assert mul(xi, xi, F5) == (1, 1, 0, 0)
+    # on every supported D, xi = (e + sqrt(D))/f with (e, f) = (1, 2) for
+    # D = 1 (mod 4), else (0, 1); xi^2 = t*xi + n holds exactly when both
+    # parts of (e + sqrt(D))^2 - t*f*(e + sqrt(D)) - n*f^2 on {1, sqrt(D)}
+    # vanish
+    rng = random.Random(14)
+    for D in sorted(SUPPORTED_D):
+        field = validate(D, 1, 0)
+        e, f = (1, 2) if D % 4 == 1 else (0, 1)
+        n, t = _k0_mul((0, 1), (0, 1), field)
+        assert (e * e + D - t * f * e - n * f * f, 2 * e - t * f) == (0, 0)
+        for _ in range(50):
+            x0, x1 = rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)
+            # the real conjugate of x0 + x1*xi is x0 + x1*(t - xi)
+            assert _k0_mul((x0, x1), (x0 + t * x1, -x1), field) == (radicand_norm(D, x0, x1), 0)
 
 
 def test_eta_squared_reduction():
     eta = QuarticInt(0, 0, 1, 0)
-    assert mul(eta, eta, F2).coords() == (-2, -1, 0, 0)
-    assert mul(eta, eta, F5).coords() == (-6, -2, 0, 0)
+    assert mul(eta, eta, F2) == (-2, -1, 0, 0)
+    assert mul(eta, eta, F5) == (-6, -2, 0, 0)
 
 
 def test_reference_product():
     u = QuarticInt(7, -1, 2, 1)
     v = QuarticInt(7, -1, -2, -1)
-    assert mul(u, v, F2).coords() == (71, 0, 0, 0)
+    assert mul(u, v, F2) == (71, 0, 0, 0)
 
 
 def test_conjugation():
     u = QuarticInt(7, -1, 2, 1)
-    assert conj_complex(u).coords() == (7, -1, -2, -1)
+    assert conj_complex(u) == (7, -1, -2, -1)
     rng = random.Random(5)
     for _ in range(100):
         w = rand_elt(rng)
@@ -78,12 +92,36 @@ def test_product_with_conjugate_lands_in_k0():
 def test_ring_axioms():
     # 500 triples per field = 1000 per residue case
     rng = random.Random(8)
+
+    def add(x, y):
+        return QuarticInt(*(xi + yi for xi, yi in zip(x, y)))
+
     for field in ALL_FIELDS:
         for _ in range(500):
             u, v, w = rand_elt(rng), rand_elt(rng), rand_elt(rng)
             assert mul(u, v, field) == mul(v, u, field)
             assert mul(mul(u, v, field), w, field) == mul(u, mul(v, w, field), field)
-            assert mul(u, v + w, field) == mul(u, v, field) + mul(u, w, field)
+            assert mul(u, add(v, w), field) == add(mul(u, v, field), mul(u, w, field))
+
+
+def test_plain_4_tuple_is_an_element():
+    rng = random.Random(15)
+    for field in ALL_FIELDS:
+        for _ in range(20):
+            c, d = (tuple(rng.randrange(-1000, 1000) for _ in range(4)) for _ in range(2))
+            u, v = QuarticInt(*c), QuarticInt(*d)
+            assert mul(c, d, field) == mul(u, v, field)
+            assert isinstance(mul(c, d, field), QuarticInt)
+            assert conj_complex(c) == conj_complex(u)
+            assert mult_matrix(c, field) == mult_matrix(u, field)
+            assert char_poly_oracle(c, field) == char_poly_oracle(u, field)
+    # + on two named tuples concatenates them: an 8-tuple is no element
+    u = QuarticInt(7, -1, 2, 1)
+    assert len(u + u) == 8
+    with pytest.raises(ValueError):
+        mul(u + u, u, F2)
+    with pytest.raises(ValueError):
+        mul(u, u + u, F2)
 
 
 def test_mult_matrix_scalar():
@@ -98,7 +136,8 @@ def test_mult_matrix_is_multiplicative_and_unital():
         return [[sum(x[i][k] * y[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
 
     for field in ALL_FIELDS:
-        assert mult_matrix(ONE, field) == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+        identity = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+        assert mult_matrix(QuarticInt(1, 0, 0, 0), field) == identity
         for _ in range(50):
             u, v = rand_elt(rng, 100), rand_elt(rng, 100)
             assert mult_matrix(mul(u, v, field), field) == matmul(
@@ -162,7 +201,7 @@ def test_norm_residual_agrees_with_ring_on_random_input():
             c = tuple(rng.randrange(-500, 500) for _ in range(4))
             p_part, z_part = norm_residual(c, field)
             u = QuarticInt(*c)
-            assert mul(u, conj_complex(u), field).coords() == (p_part, z_part, 0, 0)
+            assert mul(u, conj_complex(u), field) == (p_part, z_part, 0, 0)
 
 
 @st.composite
@@ -184,7 +223,7 @@ def test_norm_residual_is_the_full_ring_product(field, c):
     # the independent oracle, its eta-coordinates identically 0
     p_part, z_part = norm_residual(c, field)
     u = QuarticInt(*c)
-    assert mul(u, conj_complex(u), field).coords() == (p_part, z_part, 0, 0)
+    assert mul(u, conj_complex(u), field) == (p_part, z_part, 0, 0)
 
 
 def test_det_of_norm_form():
