@@ -455,7 +455,7 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
     index = _Index((d, i) for i, d in enumerate(elements))
     if len(index) != N:
         raise RuntimeError("divisor enumeration produced duplicates")
-    prime_powers = factorize(N).factors
+    prime_powers, _ = factorize(N)
     if any(v > 1 for _, v in prime_powers):
         neg = [index[negate(d, curve)] for d in elements]
         dbl = _symmetric_map(neg, lambda i: index[compose(elements[i], elements[i], curve)])

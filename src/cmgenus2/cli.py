@@ -47,7 +47,7 @@ def read_config(path: str) -> tuple[ValidatedField, Basis, tuple[int, int]]:
     rejected.  (a, b) are interpreted in the declared basis; the returned
     field always carries xi-basis parameters.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not part of the first key
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

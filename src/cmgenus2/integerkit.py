@@ -14,8 +14,8 @@ by Pollard rho with Brent cycle detection, up to ``TRIAL_LIMIT`` and for
 parts of integers", 2004).  The block products are built once per process with
 the table, about 20 ms on top of the 24 ms sieve to 10**6.
 It is deliberately cheap: the numbers this package meets are smooth times
-at most one large prime cofactor.  When the budget runs out the result
-carries the unfactored composite cofactor instead of failing silently.
+at most one large prime cofactor.  When the budget runs out, the rest in
+``factorize``'s (prime powers, rest) pair is the unfactored composite.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 from array import array
-from dataclasses import dataclass
 from itertools import compress
 
 # Strong-pseudoprime witness schedule.  Each entry (bound, witnesses) is a
@@ -61,23 +60,6 @@ _BLOCK = 256
 # longer table, as one tuple so that no thread pairs a table with another
 # table's bound or products
 _prime_table: tuple[int, array, tuple[int, ...]] = (0, array("I"), ())
-
-
-@dataclass(frozen=True)
-class Factorization:
-    """n = prod(p**e) * cofactor, as ``factorize`` returns it.
-
-    ``factors`` is sorted by prime, exponents are >= 1, and every listed
-    prime has passed the primality test.  ``cofactor`` is 1 for a complete
-    factorization, otherwise the unfactored composite remainder.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-    cofactor: int
-
-    @property
-    def is_complete(self) -> bool:
-        return self.cofactor == 1
 
 
 def is_probable_prime(n: int) -> bool:
@@ -223,33 +205,28 @@ def trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int
     return tuple(found), m
 
 
-def factorize(n: int) -> Factorization:
+def factorize(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     """Factor n >= 1 by trial division to ``TRIAL_LIMIT``, then Brent rho.
 
-    Returns a complete factorization when every cofactor yields within
-    ``RHO_ITERS`` rho steps, otherwise a partial one whose ``cofactor``
-    marks the surviving composite.  Both limits are read at call time.
+    Returns (factors, cofactor) as ``trial_division`` does, with every
+    listed prime past the primality test; cofactor is 1 unless some
+    composite does not split within ``RHO_ITERS`` rho steps.  Both
+    limits are read at call time.
     """
     small, m = trial_division(n, TRIAL_LIMIT)
     found = dict(small)
     rng = random.Random(n << 16)
     pending = [m] if m > 1 else []
-    composite_leftover = 1
+    cofactor = 1
     while pending:
         c = pending.pop()
-        if c == 1:
-            continue
         if survivor_is_prime(c):
-            found[c] = found.get(c, 0) + _extract(c, pending)
-            continue
-        g = _brent_rho(c, rng, RHO_ITERS)
-        if g == 0:
-            composite_leftover *= c
-            continue
-        pending.append(g)
-        pending.append(c // g)
-
-    return Factorization(tuple(sorted(found.items())), composite_leftover)
+            found[c] = found.get(c, 0) + 1
+        elif g := _brent_rho(c, rng, RHO_ITERS):
+            pending += (g, c // g)
+        else:
+            cofactor *= c
+    return tuple(sorted(found.items())), cofactor
 
 
 def survivor_is_prime(m: int) -> bool:
@@ -257,17 +234,6 @@ def survivor_is_prime(m: int) -> bool:
     prime: outright up to ``TRIAL_LIMIT`` squared, else by the
     probable-prime test.  The limit is read at call time."""
     return m <= TRIAL_LIMIT * TRIAL_LIMIT or is_probable_prime(m)
-
-
-def _extract(p: int, pending: list[int]) -> int:
-    """Pull every power of prime p out of the pending composites."""
-    e = 1
-    for i, c in enumerate(pending):
-        while c % p == 0:
-            c //= p
-            e += 1
-        pending[i] = c
-    return e
 
 
 def valuation(n: int, q: int) -> int:

@@ -78,9 +78,9 @@ def odd_part(n: int) -> int:
 def make_certificate(field: ValidatedField, c: tuple[int, int, int, int]) -> OmegaCertificate:
     """Validate coordinates into a certificate.
 
-    Raises InvalidOmega when the norm has a nonzero xi-component or the
-    pair (c3, c4) shares an odd factor, CompositeP when the norm is even
-    or fails the primality test.
+    Raises InvalidOmega when the norm has a nonzero xi-component, omega
+    lies in K0 (c3 = c4 = 0) or the pair (c3, c4) shares an odd factor,
+    CompositeP when the norm is even or fails the primality test.
     """
     p, residual = norm_residual(c, field)
     if residual != 0:
@@ -92,9 +92,11 @@ def make_certificate(field: ValidatedField, c: tuple[int, int, int, int]) -> Ome
 
 
 def _certificate(field: ValidatedField, c: tuple[int, int, int, int], p: int) -> OmegaCertificate:
-    """The certificate for c with rational norm p, once gcd(c3, c4) is
-    found to have trivial odd part (InvalidOmega otherwise)."""
+    """The certificate for c with rational norm p, once c is found to lie
+    outside K0 with gcd(c3, c4) of trivial odd part (InvalidOmega otherwise)."""
     g34 = math.gcd(c[2], c[3])
+    if g34 == 0:
+        raise InvalidOmega(f"omega {c} lies in the real subfield K0 (c3 = c4 = 0)")
     if odd_part(g34) != 1:
         raise InvalidOmega(f"gcd(c3, c4) = {g34} has a nontrivial odd part")
     return OmegaCertificate(field, c, p, g34)

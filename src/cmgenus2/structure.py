@@ -158,10 +158,9 @@ def analyze(cert: OmegaCertificate, N: int) -> Analysis:
     enumeration take the prime-power list, and IncompleteFactorization is
     raised here when N does not factor within the budget of ``factorize``.
     """
-    factorization = factorize(N)
-    if not factorization.is_complete:
+    factors, cofactor = factorize(N)
+    if cofactor != 1:
         raise IncompleteFactorization(f"order {N} not fully factored within budget")
-    factors = factorization.factors
     admissible, exclusions = admissible_odd_primes_from(
         factors, cert.p, cert.field.Q, cert.field.D, cert.c[0], cert.c[1], cert.gcd34,
     )

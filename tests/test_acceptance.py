@@ -44,7 +44,7 @@ def _ok(line: str) -> None:
 
 
 def brute_force_structures(N, p, admissible):
-    ds = divisors(factorize(N).factors)
+    ds = divisors(factorize(N)[0])
     found = []
     for n1 in ds:
         for n2 in ds:
@@ -246,7 +246,7 @@ def test_criterion_6_enumeration_oracle_equivalence():
         c1 = rng.randrange(-10**9, 10**9)
         c2 = rng.randrange(-10**9, 10**9)
         gcd34 = rng.choice((1, 1, 2, 3, 5, 7))
-        factors = factorize(N).factors
+        factors = factorize(N)[0]
         admissible, _ = admissible_odd_primes_from(factors, p, Q, D, c1, c2, gcd34)
         report = enumerate_structures(factors, p, admissible)
         brute = brute_force_structures(N, p, admissible)

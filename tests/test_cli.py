@@ -38,6 +38,14 @@ def test_validate_ok(capsys, field2_cfg):
     assert report["primitive"] is True
 
 
+def test_validate_config_with_bom(tmp_path, capsys, field2_cfg):
+    # editors that save UTF-8 with a byte-order mark must not break the first key
+    bom = tmp_path / "field2-bom.cfg"
+    bom.write_bytes(b"\xef\xbb\xbf" + Path(field2_cfg).read_bytes())
+    assert run_json(capsys, ["validate", str(bom), "--json"]) == \
+        run_json(capsys, ["validate", field2_cfg, "--json"])
+
+
 def test_validate_sqrtd_basis_config(capsys, field5_cfg):
     rc, report = run_json(capsys, ["validate", field5_cfg, "--json"])
     assert rc == 0
@@ -178,6 +186,13 @@ def test_analyze_combinatorial_blowup_exit_code(monkeypatch, capsys, field2_cfg)
 
 def test_analyze_invalid_omega(capsys, field2_cfg):
     assert main(["analyze", field2_cfg, "--omega", "1,0,1,0"]) == 1
+
+
+def test_analyze_omega_in_real_subfield(capsys, field5_cfg):
+    # 1 - 2 xi = -sqrt(5) has rational norm 5, a prime, but lies in K0
+    assert main(["analyze", field5_cfg, "--omega=1,-2,0,0"]) == 1
+    assert capsys.readouterr().err == \
+        "error: omega (1, -2, 0, 0) lies in the real subfield K0 (c3 = c4 = 0)\n"
 
 
 def test_analyze_composite_norm(capsys, field5_cfg):

@@ -72,16 +72,11 @@ def test_agrees_with_sieve_up_to_one_million():
 
 
 def test_factorize_3356():
-    f = factorize(3356)
-    assert f.factors == ((2, 2), (839, 1))
-    assert f.is_complete
+    assert factorize(3356) == (((2, 2), (839, 1)), 1)
 
 
 def test_factorize_unit():
-    f = factorize(1)
-    assert f.factors == ()
-    assert f.is_complete
-    assert f.cofactor == 1
+    assert factorize(1) == ((), 1)
 
 
 def test_factorize_reassembles_random_values(monkeypatch):
@@ -93,10 +88,10 @@ def test_factorize_reassembles_random_values(monkeypatch):
     for _ in range(10_000):
         bits = rng.choice((32, 48, 64, 96, 128))
         n = rng.randrange(1, 1 << bits)
-        f = factorize(n)
-        assert math.prod(p**e for p, e in f.factors) * f.cofactor == n
-        assert [p for p, _ in f.factors] == sorted({p for p, _ in f.factors})
-        for p, e in f.factors:
+        factors, cofactor = factorize(n)
+        assert math.prod(p**e for p, e in factors) * cofactor == n
+        assert [p for p, _ in factors] == sorted({p for p, _ in factors})
+        for p, e in factors:
             assert e >= 1
             assert is_probable_prime(p)
 
@@ -107,19 +102,26 @@ def test_factorize_partial_is_marked(monkeypatch):
     monkeypatch.setattr(integerkit, "RHO_ITERS", 10)
     a = 1000000000000037
     b = 1000000000000091
-    f = factorize(a * b)
-    assert not f.is_complete
-    assert f.cofactor == a * b
+    assert factorize(a * b) == ((), a * b)
 
 
 def test_factorize_reads_its_budget_at_call_time(monkeypatch):
     # factorize has one budget, the module constants, read on each call
     a = 10000019
     b = 10000079
-    assert factorize(a * b).factors == ((a, 1), (b, 1))
+    assert factorize(a * b) == (((a, 1), (b, 1)), 1)
     monkeypatch.setattr(integerkit, "TRIAL_LIMIT", 100)
     monkeypatch.setattr(integerkit, "RHO_ITERS", 10)
-    assert factorize(a * b).cofactor == a * b
+    assert factorize(a * b) == ((), a * b)
+
+
+@pytest.mark.parametrize("limit, p, q", [(100, 1009, 1013), (integerkit.TRIAL_LIMIT, 1000003, 1000033)])
+def test_factorize_counts_exponents_above_the_wall(monkeypatch, limit, p, q):
+    # rho splits p*p*q and p**3 into pieces that each count once
+    monkeypatch.setattr(integerkit, "TRIAL_LIMIT", limit)
+    assert p > limit and q > limit
+    assert factorize(p * p * q) == (((p, 2), (q, 1)), 1)
+    assert factorize(p**3) == (((p, 3),), 1)
 
 
 def test_trial_division_unit():
@@ -328,9 +330,9 @@ def test_import_builds_no_prime_table():
 
 
 def test_divisors_small():
-    assert divisors(factorize(4).factors) == [1, 2, 4]
-    assert divisors(factorize(6).factors) == [1, 2, 3, 6]
-    assert divisors(factorize(3356).factors) == [1, 2, 4, 839, 1678, 3356]
+    assert divisors(factorize(4)[0]) == [1, 2, 4]
+    assert divisors(factorize(6)[0]) == [1, 2, 3, 6]
+    assert divisors(factorize(3356)[0]) == [1, 2, 4, 839, 1678, 3356]
     assert divisors(()) == [1]
 
 
@@ -338,7 +340,7 @@ def test_divisors_properties():
     rng = random.Random(3)
     for _ in range(200):
         n = rng.randrange(1, 10**6)
-        factors = factorize(n).factors
+        factors = factorize(n)[0]
         ds = divisors(factors)
         assert all(n % d == 0 for d in ds)
         assert ds == sorted(set(ds))

@@ -169,16 +169,16 @@ def test_solvers_match_brute_force_randomized():
         else:
             tried, rest = trial_divisors(value)
             assert set(sols) == pairs(value, tried), (field.D, c3, c4)
-            reference = factorize(abs(value))
-            assert reference.is_complete, value
-            everything = pairs(value, divisors(reference.factors))
+            reference, cofactor = factorize(abs(value))
+            assert cofactor == 1, value
+            everything = pairs(value, divisors(reference))
             if rest == 1 or is_probable_prime(rest):
                 complete += 1
                 assert set(sols) == everything, (field.D, c3, c4)
             else:
                 partial += 1
                 assert set(sols) <= everything, (field.D, c3, c4)
-                above_wall = sum(e for q, e in reference.factors if q > TRIAL_WALL)
+                above_wall = sum(e for q, e in reference if q > TRIAL_WALL)
                 two_big_primes += above_wall == 2
     assert small > 100 and complete > 100 and partial > 100, (small, complete, partial)
     assert two_big_primes > 0, two_big_primes

@@ -6,7 +6,7 @@ import pytest
 
 from cmgenus2 import structure
 from cmgenus2.cmfield import validate
-from cmgenus2.integerkit import Factorization, divisors, factorize
+from cmgenus2.integerkit import divisors, factorize
 from cmgenus2.primegen import make_certificate
 from cmgenus2.structure import (
     CombinatorialBlowup,
@@ -24,7 +24,7 @@ TOY = make_certificate(F2, (7, -1, 2, 1))  # p = 71, N = 3356
 
 def brute_force_structures(N, p, admissible):
     """Naive oracle: scan all divisor 4-tuples of N."""
-    ds = divisors(factorize(N).factors)
+    ds = divisors(factorize(N)[0])
     found = []
     for n1 in ds:
         for n2 in ds:
@@ -99,7 +99,7 @@ def test_admissible_synthetic_filter():
     N = 5**3 * 7
     p = 11  # p - 1 = 10 divisible by 5
     adm, excl = admissible_odd_primes_from(
-        factorize(N).factors, p, Q=13, D=3, c1=6, c2=10, gcd34=1
+        factorize(N)[0], p, Q=13, D=3, c1=6, c2=10, gcd34=1
     )
     assert adm == {5}
     assert excl == {}
@@ -109,7 +109,7 @@ def test_admissible_exclusion_reasons():
     N = 7**3 * 4
     # 7 does not divide p-1 = 10, and c1 = 0 (mod 7)
     adm, excl = admissible_odd_primes_from(
-        factorize(N).factors, 11, Q=176, D=5, c1=7, c2=0, gcd34=2
+        factorize(N)[0], 11, Q=176, D=5, c1=7, c2=0, gcd34=2
     )
     assert adm == set()
     assert 7 in excl
@@ -123,7 +123,7 @@ def test_admissible_gcd_side_condition():
     N = 7**3 * 2
     p = 29  # 7 | 28
     adm, _ = admissible_odd_primes_from(
-        factorize(N).factors, p, Q=2, D=2, c1=5, c2=3, gcd34=7
+        factorize(N)[0], p, Q=2, D=2, c1=5, c2=3, gcd34=7
     )
     assert adm == {7}
 
@@ -138,7 +138,7 @@ def test_analyze_is_the_one_completeness_gate(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(structure, name, counting)
     monkeypatch.setattr(structure, "factorize",
-                        lambda n: Factorization(((2, 2),), cofactor=n // 4))
+                        lambda n: (((2, 2),), n // 4))
     with pytest.raises(IncompleteFactorization, match="not fully factored within budget"):
         analyze(TOY, 3356)
     assert calls == []
@@ -160,7 +160,7 @@ def test_enumerate_always_contains_cyclic_tuple():
     for _ in range(50):
         N = rng.randrange(2, 10**5)
         p = 71
-        factors = factorize(N).factors
+        factors = factorize(N)[0]
         adm, _ = admissible_odd_primes_from(factors, p, Q=50, D=2, c1=1, c2=0, gcd34=1)
         report = enumerate_structures(factors, p, adm)
         assert (1, 1, 1, N) in report.candidates
@@ -177,7 +177,7 @@ def test_enumerate_matches_brute_force_randomized():
         c1 = rng.randrange(-10**6, 10**6)
         c2 = rng.randrange(-10**6, 10**6)
         gcd34 = rng.choice((1, 1, 1, 2, 3, 7))
-        factors = factorize(N).factors
+        factors = factorize(N)[0]
         adm, _ = admissible_odd_primes_from(factors, p, Q, D, c1, c2, gcd34)
         report = enumerate_structures(factors, p, adm)
         brute = brute_force_structures(N, p, adm)
@@ -189,7 +189,7 @@ def test_enumerate_matches_brute_force_randomized():
 
 def test_every_candidate_satisfies_invariants():
     N = 2**3 * 7**3 * 5
-    factors = factorize(N).factors
+    factors = factorize(N)[0]
     p = 281  # p - 1 = 280 = 2^3 * 5 * 7
     adm, _ = admissible_odd_primes_from(factors, p, Q=10, D=2, c1=1, c2=0, gcd34=1)
     report = enumerate_structures(factors, p, adm)
@@ -204,7 +204,7 @@ def test_every_candidate_satisfies_invariants():
 def test_combinatorial_cap(monkeypatch):
     monkeypatch.setattr(structure, "MAX_STRUCTURES", 10)
     with pytest.raises(CombinatorialBlowup, match="more than 10 candidate structures"):
-        enumerate_structures(factorize(2**40).factors, 2**20 + 1, {2})
+        enumerate_structures(factorize(2**40)[0], 2**20 + 1, {2})
 
 
 def test_prime_of_p_minus_1_beyond_trial_wall_stays_admissible():
@@ -214,9 +214,9 @@ def test_prime_of_p_minus_1_beyond_trial_wall_stays_admissible():
     ell = 10007
     p = 2 * ell * 4000039 * 4000081 + 1
     N = 4 * ell**3
-    adm, excl = admissible_odd_primes_from(factorize(N).factors, p, Q=2, D=2, c1=5, c2=3, gcd34=ell)
+    adm, excl = admissible_odd_primes_from(factorize(N)[0], p, Q=2, D=2, c1=5, c2=3, gcd34=ell)
     assert adm == {ell} and excl == {}
-    report = enumerate_structures(factorize(N).factors, p, adm)
+    report = enumerate_structures(factorize(N)[0], p, adm)
     assert (1, ell, ell, 4 * ell) in report.candidates
     assert report.candidates == brute_force_structures(N, p, adm)
 
