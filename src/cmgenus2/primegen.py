@@ -1,26 +1,30 @@
 """Search for omega in the quartic order whose complex norm is prime.
 
-The search picks a coprime pair (c3, c4), solves the vanishing of the
+The search picks a pair (c3, c4), solves the vanishing of the
 xi-component of omega * conj(omega) by a divisor choice, and tests the
-resulting rational norm for primality.  With r the xi-coordinate of
-``eta_part_norm(c3, c4)`` = (c3 + c4*xi)^2 * (a + b*xi), the xi-component
-is r plus that of (c1 + c2*xi)^2, which depends on t = Tr(xi):
+resulting rational norm for primality.  With xi^2 = t*xi + n and r the
+xi-coordinate of ``eta_part_norm(c3, c4)`` = (c3 + c4*xi)^2 * (a + b*xi),
+the xi-component is c2*(2*c1 + t*c2) + r, so one equation serves both
+real subfields:
 
-  t = 0 (D = 2, 3 mod 4):  2*c1*c2 + r, so (c3, c4) must make r even
-      and then c1 runs over divisors of n = -r/2 with c2 = n/c1.
+    c2*(2*c1 + t*c2) = m,   m = -r,   t = 0 (D = 2, 3 mod 4) or 1 (D = 1 mod 4).
 
-  t = 1 (D = 1 mod 4):  c2*(2*c1 + c2) + r, so c2 runs over divisors of
-      m = -r with m/c2 = c2 (mod 2).
+It has an integer solution exactly when m = t (mod 2) or 4 | m; a pair
+failing that parity test, or with m = 0, is skipped before any trial
+division.  For t = 0 the equation is c1*c2 = m/2, so c2 runs over the
+divisors of m/2; for t = 1 over those of m, keeping the c2 with
+m/c2 - c2 even.  Either way the divisors are those of the part of the
+right side that trial division up to ``TRIAL_WALL`` finds and their
+complements: every divisor when at most one prime lies above the wall,
+and no pair is resampled for want of a factorization.  Solutions are
+tried in seeded pseudo-random order (both signs), and those of one pair
+are exhausted before the next pair is sampled, so a fixed
+(field, bits, seed) always reproduces the same certificate.  At most
+``MAX_CANDIDATES`` in-window norms are tested for primality.
 
-c1 (or c2) runs over the divisors of the part of |n| (or |m|) that trial
-division up to ``TRIAL_WALL`` finds and their complements |n|/d: every
-divisor when at most one prime of n lies above the wall, and no pair is
-resampled for want of a factorization.  Divisors are tried in seeded
-pseudo-random order (both signs), and the divisors of one pair are
-exhausted before the next pair is sampled, so a fixed (field, bits, seed)
-always reproduces the same certificate.  At most ``MAX_CANDIDATES``
-in-window norms are tested for primality.  Shared odd factors of
-(c3, c4) are never emitted; shared powers of two are allowed.
+The gcd rule: for t = 1 the odd part of gcd(c3, c4) must be 1 (shared
+powers of two are allowed); for t = 0 gcd(c3, c4) must be 1.  Shared odd
+factors are never emitted.
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ MAX_CANDIDATES = 10_000  # primality tests before the search gives up
 
 class SearchExhausted(RuntimeError):
     """No acceptable prime found within the iteration budget."""
-
-
-class NoIntegralSolution(Exception):
-    """A (c3, c4) pair admits no integer (c1, c2); resample."""
 
 
 class InvalidOmega(ValueError):
@@ -108,11 +108,6 @@ def negate(cert: OmegaCertificate) -> OmegaCertificate:
     return OmegaCertificate(cert.field, (-c1, -c2, -c3, -c4), cert.p, cert.gcd34)
 
 
-def pair_admissible_23(field: ValidatedField, c3: int, c4: int) -> bool:
-    """gcd(c3, c4) = 1 and the divisor equation has an integer right side."""
-    return math.gcd(c3, c4) == 1 and eta_part_norm(c3, c4, field)[1] % 2 == 0
-
-
 def _right_side_divisors(n: int) -> list[int]:
     """The divisors d of the part of |n| that trial division up to
     ``TRIAL_WALL`` finds and their complements |n|/d, once, ascending."""
@@ -122,47 +117,26 @@ def _right_side_divisors(n: int) -> list[int]:
     return sorted({*found, *(n // d for d in found)})
 
 
-def solve_divisor_equation_23(field: ValidatedField, c3: int, c4: int) -> list[tuple[int, int]]:
-    """Pairs (c1, c2) with c1*c2 = n for the pair, in deterministic order:
-    all of them when at most one prime of n lies above ``TRIAL_WALL``.
-
-    Raises NoIntegralSolution when the pair fails the parity condition or
-    n is zero.
+def solve_divisor_equation(field: ValidatedField, c3: int, c4: int) -> list[tuple[int, int]]:
+    """Pairs (c1, c2) with c2*(2*c1 + t*c2) = m for the pair, in
+    deterministic order: all of them when at most one prime of m lies above
+    ``TRIAL_WALL``.  Empty when the pair fails the gcd rule, m is zero or
+    m has the wrong parity (checked before any trial division).
     """
-    if not pair_admissible_23(field, c3, c4):
-        raise NoIntegralSolution(f"pair ({c3}, {c4}) fails gcd or parity")
-    n = -eta_part_norm(c3, c4, field)[1] // 2
-    if n == 0:
-        raise NoIntegralSolution("degenerate pair with n = 0")
-    out = []
-    for d in _right_side_divisors(n):
-        for c1 in (d, -d):
-            out.append((c1, n // c1))
-    return out
-
-
-def solve_divisor_equation_1(field: ValidatedField, c3: int, c4: int) -> list[tuple[int, int]]:
-    """Pairs (c1, c2) with c2*(2*c1 + c2) = m for the pair: all of them
-    when at most one prime of m lies above ``TRIAL_WALL``.
-
-    The odd parts of c3 and c4 must be coprime.  Raises NoIntegralSolution
-    when no divisor tried has the parity that makes c1 integral, or m is
-    zero.
-    """
-    if math.gcd(odd_part(c3), odd_part(c4)) != 1:
-        raise NoIntegralSolution(f"pair ({c3}, {c4}) shares an odd factor")
+    t = field.xi_sq[0]
+    g34 = math.gcd(c3, c4)
+    # t = 0 pairs with an even gcd give mostly even norms: skip them
+    if (odd_part(g34) if t else g34) != 1:
+        return []
     m = -eta_part_norm(c3, c4, field)[1]
-    if m == 0:
-        raise NoIntegralSolution("degenerate pair with m = 0")
+    if m == 0 or (m - t) % 2 and m % 4:  # solvable iff m = t (mod 2) or 4 | m
+        return []
     out = []
-    for d in _right_side_divisors(m):
+    for d in _right_side_divisors(m // (2 - t)):
         for c2 in (d, -d):
-            q = m // c2
-            if (q - c2) % 2:
-                continue
-            out.append(((q - c2) // 2, c2))
-    if not out:
-        raise NoIntegralSolution(f"every divisor pair of m = {m} has mixed parity")
+            s = m // c2 - t * c2
+            if s % 2 == 0:
+                out.append((s // 2, c2))
     return out
 
 
@@ -188,23 +162,16 @@ def _sample_pair(rng: random.Random, lo_bits: int, hi_bits: int) -> tuple[int, i
 
 
 def search_prime(field: ValidatedField, target_bits: int, seed: int) -> OmegaCertificate:
-    """Elementary-method search; deterministic for a fixed seed.
-
-    The divisor equation solved for each pair depends on t = Tr(xi).
-    """
+    """Elementary-method search; deterministic for a fixed seed."""
     if not 4 <= target_bits <= 1024:
         raise ValueError("target_bits must be between 4 and 1024")
     rng = random.Random(seed)
     lo_bits, hi_bits = _pair_bit_range(field, target_bits)
-    solver = solve_divisor_equation_1 if field.xi_sq[0] else solve_divisor_equation_23
     tested = 0
     pair_cap = 50 * MAX_CANDIDATES
     for _ in range(pair_cap):
         c3, c4 = _sample_pair(rng, lo_bits, hi_bits)
-        try:
-            solutions = solver(field, c3, c4)
-        except NoIntegralSolution:
-            continue
+        solutions = solve_divisor_equation(field, c3, c4)
         rng.shuffle(solutions)
         for c1, c2 in solutions:
             c = (c1, c2, c3, c4)
@@ -220,4 +187,4 @@ def search_prime(field: ValidatedField, target_bits: int, seed: int) -> OmegaCer
                 return _certificate(field, c, p)
             if tested >= MAX_CANDIDATES:
                 raise SearchExhausted(f"no prime after {tested} candidates")
-    raise SearchExhausted(f"no candidate with {target_bits}-bit norm after {pair_cap} pairs")
+    raise SearchExhausted(f"no odd norm within 2 bits of {target_bits} bits in {pair_cap} pairs")

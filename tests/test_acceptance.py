@@ -22,13 +22,11 @@ from cmgenus2.frobenius import (
 )
 from cmgenus2.integerkit import divisors, factorize, is_probable_prime
 from cmgenus2.primegen import (
-    NoIntegralSolution,
     make_certificate,
     negate,
     odd_part,
     search_prime,
-    solve_divisor_equation_1,
-    solve_divisor_equation_23,
+    solve_divisor_equation,
 )
 from cmgenus2.quartic import QuarticInt, char_poly_oracle, conj_complex, mul, norm_residual
 from cmgenus2.structure import admissible_odd_primes_from, analyze, enumerate_structures
@@ -161,15 +159,12 @@ def test_criterion_2_example2_golden():
 
 
 def _random_valid_omegas(field, rng, count):
-    case1 = field.D % 4 == 1
-    solver = solve_divisor_equation_1 if case1 else solve_divisor_equation_23
     out = []
     while len(out) < count:
         c3 = rng.randrange(1, 50) * rng.choice((1, -1))
         c4 = rng.randrange(1, 50) * rng.choice((1, -1))
-        try:
-            sols = solver(field, c3, c4)
-        except NoIntegralSolution:
+        sols = solve_divisor_equation(field, c3, c4)
+        if not sols:
             continue
         c1, c2 = rng.choice(sols)
         out.append((c1, c2, c3, c4))

@@ -147,12 +147,12 @@ def test_gen_unbounded_request_is_input_error(capsys, field2_cfg, argv):
 def test_gen_solver_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
     # c1 + 1 leaves xi-component 2*c2 != 0: the search's ring check must
     # report it as a computational failure, not a traceback
-    real = primegen.solve_divisor_equation_23
+    real = primegen.solve_divisor_equation
 
     def off_by_one(field, c3, c4):
         return [(c1 + 1, c2) for c1, c2 in real(field, c3, c4)]
 
-    monkeypatch.setattr(primegen, "solve_divisor_equation_23", off_by_one)
+    monkeypatch.setattr(primegen, "solve_divisor_equation", off_by_one)
     assert main(["gen", field2_cfg, "--bits", "24", "--seed", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -11,11 +11,9 @@ from cmgenus2.frobenius import (
     twist_order,
 )
 from cmgenus2.primegen import (
-    NoIntegralSolution,
     make_certificate,
     search_prime,
-    solve_divisor_equation_1,
-    solve_divisor_equation_23,
+    solve_divisor_equation,
 )
 from cmgenus2.quartic import QuarticInt, char_poly_oracle, norm_residual
 
@@ -27,15 +25,12 @@ F13 = validate(13, 7, 2)
 
 def random_valid_omegas(field, rng, count, pair_bound=60):
     """Random coordinates with rational complex norm (norm may be composite)."""
-    case1 = field.D % 4 == 1
-    solver = solve_divisor_equation_1 if case1 else solve_divisor_equation_23
     out = []
     while len(out) < count:
         c3 = rng.randrange(1, pair_bound) * rng.choice((1, -1))
         c4 = rng.randrange(1, pair_bound) * rng.choice((1, -1))
-        try:
-            sols = solver(field, c3, c4)
-        except NoIntegralSolution:
+        sols = solve_divisor_equation(field, c3, c4)
+        if not sols:
             continue
         c1, c2 = rng.choice(sols)
         out.append((c1, c2, c3, c4))

@@ -9,17 +9,14 @@ from cmgenus2.integerkit import divisors, factorize, is_probable_prime, trial_di
 from cmgenus2.primegen import (
     CompositeP,
     InvalidOmega,
-    NoIntegralSolution,
     OmegaCertificate,
     TRIAL_WALL,
     SearchExhausted,
     make_certificate,
     negate,
     odd_part,
-    pair_admissible_23,
     search_prime,
-    solve_divisor_equation_1,
-    solve_divisor_equation_23,
+    solve_divisor_equation,
 )
 from cmgenus2.quartic import QuarticInt, conj_complex, mul
 
@@ -27,6 +24,7 @@ F2 = validate(2, 2, 1)
 F3 = validate(3, 5, 2)
 F5 = validate(5, 6, 2)
 F13 = validate(13, 7, 2)
+F3_331 = validate(3, 3, 1)
 
 
 def assert_certificate_invariants(cert: OmegaCertificate):
@@ -63,14 +61,14 @@ def test_make_certificate_rejects_shared_odd_factor():
 
 
 def test_pair_admissibility_case23():
-    assert pair_admissible_23(F2, 2, 1)
-    assert not pair_admissible_23(F2, 1, 1)  # 2n would be odd
-    assert not pair_admissible_23(F2, 2, 4)  # gcd 2
+    assert solve_divisor_equation(F2, 2, 1) != []
+    assert solve_divisor_equation(F2, 1, 1) == []  # m = -13 is odd
+    assert solve_divisor_equation(F2, 2, 4) == []  # gcd 2
 
 
 def test_solve_divisor_equation_23_reference():
-    # 2n = -8 - 4 - 2 = -14, n = -7
-    sols = solve_divisor_equation_23(F2, 2, 1)
+    # m = -8 - 4 - 2 = -14, c1*c2 = -7
+    sols = solve_divisor_equation(F2, 2, 1)
     assert (7, -1) in sols
     assert (-7, 1) in sols
     assert (1, -7) in sols
@@ -78,19 +76,34 @@ def test_solve_divisor_equation_23_reference():
 
 
 def test_solve_divisor_equation_23_parity_rejection():
-    with pytest.raises(NoIntegralSolution):
-        solve_divisor_equation_23(F2, 1, 1)
+    assert solve_divisor_equation(F2, 1, 1) == []
 
 
 def test_solve_divisor_equation_1_no_solution():
     # S8 = 32 + 128 + 40 = 200, m = -50: every divisor pair has mixed parity
-    with pytest.raises(NoIntegralSolution):
-        solve_divisor_equation_1(F5, 2, 1)
+    assert solve_divisor_equation(F5, 2, 1) == []
+
+
+def test_wrong_parity_skips_trial_division(monkeypatch):
+    # m = t (mod 2) or 4 | m is decided before any trial division: m = -13
+    # on F2 (t = 0) and m = -50 on F5 (t = 1) have no solution
+    calls = []
+
+    def spy(n, limit):
+        calls.append(n)
+        return trial_division(n, limit)
+
+    monkeypatch.setattr(primegen, "trial_division", spy)
+    assert solve_divisor_equation(F2, 1, 1) == []
+    assert solve_divisor_equation(F5, 2, 1) == []
+    assert calls == []
+    assert solve_divisor_equation(F5, 1, 1) != []  # m = -28
+    assert calls == [28]
 
 
 def test_solve_divisor_equation_1_reference():
     # S8 = 8 + 64 + 40 = 112, m = -28; c2 = 2 gives c1 = (-14 - 2)/2 = -8
-    sols = solve_divisor_equation_1(F5, 1, 1)
+    sols = solve_divisor_equation(F5, 1, 1)
     assert (-8, 2) in sols
     for c1, c2 in sols:
         assert c2 * (2 * c1 + c2) == -28
@@ -107,10 +120,11 @@ def divisors_by_scan(n):
 
 
 def rhs_23(field, c3, c4):
-    """n for the pair, or None when it fails the gcd or parity condition."""
-    if not pair_admissible_23(field, c3, c4):
+    """n for the pair, or None when gcd(c3, c4) != 1 or 2n is odd."""
+    two_n = -2 * c3 * c4 * field.a - c3 * c3 * field.b - c4 * c4 * field.b * field.D
+    if math.gcd(c3, c4) != 1 or two_n % 2:
         return None
-    return (-2 * c3 * c4 * field.a - c3 * c3 * field.b - c4 * c4 * field.b * field.D) // 2
+    return two_n // 2
 
 
 def rhs_1(field, c3, c4):
@@ -147,19 +161,16 @@ def test_solvers_match_brute_force_randomized():
     # a factorization with the default budget) when the rest is 1 or a
     # prime, a subset when the rest is composite
     rng = random.Random(34)
-    case23 = (solve_divisor_equation_23, rhs_23, pairs_23)
-    case1 = (solve_divisor_equation_1, rhs_1, pairs_1)
-    cases = ((F2, *case23), (F3, *case23), (F5, *case1), (F13, *case1))
+    case23 = (rhs_23, pairs_23)
+    case1 = (rhs_1, pairs_1)
+    cases = ((F2, *case23), (F3, *case23), (F3_331, *case23), (F5, *case1), (F13, *case1))
     small = complete = partial = two_big_primes = 0
     for _ in range(900):
-        field, solve, rhs, pairs = rng.choice(cases)
+        field, rhs, pairs = rng.choice(cases)
         bits = rng.choice((10, 25, 40))
         c3, c4 = rng.randrange(-2**bits, 2**bits), rng.randrange(-2**bits, 2**bits)
         value = rhs(field, c3, c4)
-        try:
-            sols = solve(field, c3, c4)
-        except NoIntegralSolution:
-            sols = []
+        sols = solve_divisor_equation(field, c3, c4)
         assert len(sols) == len(set(sols)), (field.D, c3, c4)
         if not value:  # failed precondition or degenerate pair
             assert sols == []
@@ -212,13 +223,13 @@ def test_search_prime_frozen_certificates():
     # pins the reproducibility contract across releases; update only with
     # a deliberate generator change
     frozen = (
-        (F2, 32, 2024, (-94799, 1, 118, 201), 8987134727),
+        (F2, 32, 2024, (94799, -1, 118, 201), 8987134727),
         (F5, 32, 2024, (-14999, 30020, -510, 188), 1127630233),
-        (F2, 128, 0, (113, -9608145324608064017, -6933291276, 40246287023),
+        (F2, 128, 0, (-113, 9608145324608064017, -6933291276, 40246287023),
          184632913157575605178302919284216946423),
         (F5, 128, 0, (13251524034851152779, -8, 2464763530, 2914441782),
          175602889246237776304909004041773714337),
-        (F3, 40, 77, (1497747, -39, 1594, 3187), 2243472100223),
+        (F3, 40, 77, (-1497747, 39, 1594, 3187), 2243472100223),
         (F13, 40, 77, (-1966653, 1922, -43132, 56300), 3937199341429),
     )
     for field, bits, seed, c, p in frozen:
@@ -265,6 +276,15 @@ def test_search_exhausted(monkeypatch):
     monkeypatch.setattr(primegen, "MAX_CANDIDATES", 1)
     with pytest.raises(SearchExhausted):
         search_prime(F2, 24, 0)
+
+
+def test_search_exhausted_without_odd_norm(monkeypatch):
+    # on (3, 3, 1) a coprime pair gives m = 2 (mod 4), so c1 and c2 are odd
+    # and every norm is even: the pair cap, not the primality budget, ends
+    # the search
+    monkeypatch.setattr(primegen, "MAX_CANDIDATES", 20)
+    with pytest.raises(SearchExhausted, match="^no odd norm within 2 bits of 24 bits in 1000 pairs$"):
+        search_prime(F3_331, 24, 0)
 
 
 def test_negate_preserves_validity():
