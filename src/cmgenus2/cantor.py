@@ -29,9 +29,12 @@ forms against.
 Groups are small enough (order below ~6200 at p = 61) to enumerate
 outright; the invariant factors are recovered by counting, for each
 prime q with q^2 | N, the sizes of the iterated images of multiplication
-by q (a q dividing N once gives Z/q).  The multiplication maps share one
-table of doublings, so only their additions compose, and only for one
-class of each pair P, -P.
+by q (a q dividing N once gives Z/q).  Only the Sylow q-subgroup
+S_q = [N/q^v]J (v = v_q(N)) moves those sizes, since [q] is bijective
+on every other Sylow subgroup, so the maps run on S_q alone, built by
+closure from the multiples [N/q^v]P.  Each map over S_q takes its
+doublings from one table, so only its additions compose, and only for
+one class of each pair P, -P.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .integerkit import factorize, is_probable_prime
@@ -157,6 +161,9 @@ class MumfordDivisor(NamedTuple):
     v: Poly
 
 
+# _mumford((u, v)) is MumfordDivisor(u, v) built by tuple.__new__ in C,
+# skipping the Python-level __new__ that NamedTuple generates
+_mumford = partial(tuple.__new__, MumfordDivisor)
 IDENTITY = MumfordDivisor((1,), ())
 
 
@@ -212,7 +219,7 @@ def compose(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> Mum
 
 def _point(a: int, b: int, p: int) -> MumfordDivisor:
     """The class of the point (a, b): u = x - a, v = b."""
-    return MumfordDivisor((-a % p, 1), (b,) if b else ())
+    return _mumford(((-a % p, 1), (b,) if b else ()))
 
 
 def _add_point(a: int, b: int, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> MumfordDivisor | None:
@@ -234,7 +241,7 @@ def _add_point(a: int, b: int, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> Mumf
             lam = (c0 - b) * pow(a2 - a, -1, p) % p
         else:
             lam = p_eval(p_deriv(curve.f, p), a, p) * pow(2 * b, -1, p) % p
-        return MumfordDivisor((a * a2 % p, -(a + a2) % p, 1), _trim([(b - lam * a) % p, lam]))
+        return _mumford(((a * a2 % p, -(a + a2) % p, 1), _trim([(b - lam * a) % p, lam])))
     b0, b1, _ = u2
     ua = (a * a + b1 * a + b0) % p
     if ua == 0:
@@ -252,7 +259,7 @@ def _add_point(a: int, b: int, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> Mumf
     r0 = f0 - w0 * w0 - q0 * U0
     if r2 % p or r1 % p or r0 % p:
         raise RuntimeError("(x - a)*u2 does not divide f - v^2")
-    return MumfordDivisor((q0, q1, 1), _trim([(k * q0 - w0) % p, (k * q1 - w1) % p]))
+    return _mumford(((q0, q1, 1), _trim([(k * q0 - w0) % p, (k * q1 - w1) % p])))
 
 
 def _explicit(u1: Poly, v1: Poly, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> MumfordDivisor | None:
@@ -309,14 +316,14 @@ def _explicit(u1: Poly, v1: Poly, u2: Poly, v2: Poly, curve: GenusTwoCurve) -> M
     if r3 % p or r2 % p or r1 % p or r0 % p:
         raise RuntimeError("u1*u2 does not divide f - l^2")
     if s1 == 0:  # h2 = 0 and h1 = 1: u3 = x + h0, v3 = -l(-h0)
-        return MumfordDivisor((h0, 1), _trim([-(l2 * h0 * h0 - l1 * h0 + l0) % p]))
+        return _mumford(((h0, 1), _trim([-(l2 * h0 * h0 - l1 * h0 + l0) % p])))
     # u3 = monic quotient = x^2 + t1*x + t0, v3 = -l mod u3
     inv = pow(h2, -1, p)
     t1 = h1 * inv % p
     t0 = h0 * inv % p
     x3 = s1 * (t1 * t1 - t0) - l2 * t1 + l1
     x0 = s1 * t1 * t0 - l2 * t0 + l0
-    return MumfordDivisor((t0, t1, 1), _trim([-x0 % p, -x3 % p]))
+    return _mumford(((t0, t1, 1), _trim([-x0 % p, -x3 % p])))
 
 
 def _cantor(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
@@ -349,12 +356,12 @@ def _cantor(d1: MumfordDivisor, d2: MumfordDivisor, curve: GenusTwoCurve) -> Mum
         u_next = p_monic(u_next, p)
         v = p_mod(p_neg(v, p), u_next, p)
         u = u_next
-    return MumfordDivisor(p_monic(u, p), v)
+    return _mumford((p_monic(u, p), v))
 
 
 def negate(d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
     """(u, -v), coefficient-wise: deg v < deg u, so -v is reduced mod u."""
-    return MumfordDivisor(d.u, p_neg(d.v, curve.p))
+    return _mumford((d.u, p_neg(d.v, curve.p)))
 
 
 def scalar_mul(k: int, d: MumfordDivisor, curve: GenusTwoCurve) -> MumfordDivisor:
@@ -402,7 +409,7 @@ def all_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
                 f1, f0 = f0 - f1 * u1, c - f1 * u0
             f1, f0 = f1 % p, f0 % p
             for s in roots.get(f0, ()) if f1 == 0 else ():
-                out.append(MumfordDivisor(u, (s,) if s else ()))
+                out.append(_mumford((u, (s,) if s else ())))
             a, b, c = (u1 * u1 - 4 * u0) % p, (2 * f1 * u1 - 4 * f0) % p, f1 * f1 % p
             if a:
                 ts = [(r - b) * inv[2 * a % p] % p for r in roots.get((b * b - 4 * a * c) % p, ())]
@@ -410,8 +417,11 @@ def all_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
                 ts = [-c * inv[b] % p] if b else []
             else:  # u = (x - r)^2 with f(r) = f'(r) = 0
                 raise RuntimeError(f"f is not squarefree: every v1 solves u = {u}")
-            for v1 in sorted(v1 for t in ts if t for v1 in roots.get(t, ())):
-                out.append(MumfordDivisor(u, ((f1 + v1 * v1 * u1) * inv[2 * v1 % p] % p, v1)))
+            # each t != 0 has no root or two ascending ones, so only two
+            # t's with roots need a sort
+            v1s = [v1 for t in ts if t for v1 in roots.get(t, ())]
+            for v1 in sorted(v1s) if len(v1s) > 2 else v1s:
+                out.append(_mumford((u, ((f1 + v1 * v1 * u1) * inv[2 * v1 % p] % p, v1))))
     return out
 
 
@@ -426,11 +436,110 @@ def _symmetric_map(neg: list[int], image) -> list[int]:
     return out
 
 
+def _ladder(k: int, i: int, double, add) -> int:
+    """The index of [k]P, k >= 1, P at index i, by a binary ladder."""
+    acc = i
+    for bit in bin(k)[3:]:  # below the leading bit, which takes P itself
+        acc = double(acc)
+        if bit == "1":
+            acc = add(acc, i)
+    return acc
+
+
 class _Index(dict):
     """Element -> index; a sum outside the enumeration is a Cantor fault."""
 
     def __missing__(self, d: MumfordDivisor) -> int:
         raise RuntimeError(f"{d} is not an enumerated divisor")
+
+
+class _SylowIndex(dict):
+    """Element -> index in S_q; a sum that leaves S_q is a Cantor fault,
+    reported as the enumeration reports it when it is off the curve."""
+
+    def __init__(self, group: list[MumfordDivisor], enumeration: _Index, q: int):
+        super().__init__((d, i) for i, d in enumerate(group))
+        self.enumeration, self.q = enumeration, q
+
+    def __missing__(self, d: MumfordDivisor) -> int:
+        self.enumeration[d]  # a class off the curve fails here first
+        raise RuntimeError(f"{d} is not in the Sylow {self.q}-subgroup")
+
+
+def _sylow_subgroup(N: int, q: int, order: int, add) -> list[int]:
+    """Indices of S_q = [m]J, m = N/order, order = q^v, starting at the
+    identity 0; add(a, b) is the index of the sum.
+
+    H starts as {0}.  For P in enumeration order, R = [m]P outside H
+    grows H to H + <R>, the cosets jR + H for j < k, kR the first
+    multiple back in H.  The loops are bounded by q^v: H + <R> may not
+    exceed it, its cosets may not overlap, and an H that ends below it
+    is a fault too.
+    """
+    members, seen = [0], {0}
+    for i in range(1, N):
+        if len(members) == order:
+            break
+        r = _ladder(N // order, i, lambda a: add(a, a), add)
+        if r in seen:
+            continue
+        steps = [r]  # jR for 0 < j < k
+        while (nxt := add(steps[-1], r)) not in seen:
+            steps.append(nxt)
+            if len(members) * (len(steps) + 1) > order:
+                raise RuntimeError(f"the Sylow {q}-subgroup exceeds {order} elements")
+        base = list(members)
+        for s in steps:
+            for g in base:
+                c = add(s, g)
+                if c in seen:
+                    raise RuntimeError(f"cosets of the Sylow {q}-subgroup overlap")
+                seen.add(c)
+                members.append(c)
+    if len(members) != order:
+        raise RuntimeError(f"the Sylow {q}-subgroup reaches {len(members)} of {order} elements")
+    return members
+
+
+def _image_counts(group: list[MumfordDivisor], index: dict, q: int,
+                  curve: GenusTwoCurve) -> list[int]:
+    """counts[j-1] = log_q(T_j / T_{j-1}), the number of invariant factors
+    of the q-group ``group`` (identity first) divisible by q^j.
+
+    Multiplication by q runs as a binary ladder over element indices:
+    doublings are lookups in one table of 2*e, so only the additions
+    compose.  The table and the ladder compose for one element of each
+    pair P, -P and take the other from [k](-P) = -[k]P; -(u, v) is
+    (u, -v), an index lookup.  2P = 0 exactly when P = -P, which checks
+    the table against the negation.
+    """
+    def add(a: int, b: int) -> int:
+        return index[compose(group[a], group[b], curve)]
+
+    neg = [index[negate(d, curve)] for d in group]
+    dbl = _symmetric_map(neg, lambda i: add(i, i))
+    for i, n in enumerate(neg):
+        if (dbl[i] == 0) != (n == i):
+            raise RuntimeError(f"2P = 0 disagrees with P = -P at {group[i]}")
+    phi = _symmetric_map(neg, lambda i: _ladder(q, i, dbl.__getitem__, add))
+    image = list(range(len(group)))
+    sizes = [len(image)]
+    while True:
+        image = list({phi[i] for i in image})
+        if len(image) == sizes[-1]:
+            break
+        sizes.append(len(image))
+    counts = []
+    for j in range(1, len(sizes)):
+        ratio, rem = divmod(sizes[j - 1], sizes[j])
+        r = 0
+        while ratio % q == 0:
+            ratio //= q
+            r += 1
+        if rem or ratio != 1:
+            raise RuntimeError(f"image size ratio is not a power of {q}")
+        counts.append(r)
+    return counts
 
 
 def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
@@ -441,14 +550,13 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
     elements killed by q^j, the count of factors divisible by q^j is
     log_q(T_j / T_{j-1}).
 
-    A prime q with v_q(N) = 1 needs no map: the Sylow q-subgroup has
+    A prime q with v = v_q(N) = 1 needs no map: the Sylow q-subgroup has
     order q, and a group of prime order is cyclic, so the chain is [1].
-    For the others, multiplication by q runs as a binary ladder over
-    element indices: doublings are lookups in one table of 2*e built up
-    front, so only the additions compose.  The table and each ladder
-    compose for one element of each pair P, -P and take the other from
-    [k](-P) = -[k]P, which holds because [k] is a homomorphism; -(u, v)
-    is (u, -v mod u), an index lookup.
+    For the others the maps run on S_q = [N/q^v]J alone, the whole
+    enumeration when N = q^v: [N/q^v] maps J onto S_q and [q] is
+    bijective on every other Sylow subgroup, so the image-size ratios
+    are those over J.  Every composed class, ladder steps of [N/q^v]P
+    included, is looked up in the enumeration.
     """
     elements = all_divisors(curve)
     N = len(elements)
@@ -456,44 +564,20 @@ def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
     if len(index) != N:
         raise RuntimeError("divisor enumeration produced duplicates")
     prime_powers, _ = factorize(N)
-    if any(v > 1 for _, v in prime_powers):
-        neg = [index[negate(d, curve)] for d in elements]
-        dbl = _symmetric_map(neg, lambda i: index[compose(elements[i], elements[i], curve)])
+
+    def add(a: int, b: int) -> int:
+        return index[compose(elements[a], elements[b], curve)]
 
     exponents_by_prime: dict[int, list[int]] = {}
     for q, v in prime_powers:
         if v == 1:
             exponents_by_prime[q] = [1]
             continue
-        bits = bin(q)[3:]  # below the leading bit, which takes the element itself
-
-        def ladder(i: int) -> int:
-            acc = i
-            for bit in bits:
-                acc = dbl[acc]
-                if bit == "1":
-                    acc = index[compose(elements[acc], elements[i], curve)]
-            return acc
-
-        phi = _symmetric_map(neg, ladder)
-        image = list(range(N))
-        sizes = [N]
-        while True:
-            image = list({phi[i] for i in image})
-            if len(image) == sizes[-1]:
-                break
-            sizes.append(len(image))
-        counts = []
-        for j in range(1, len(sizes)):
-            ratio, rem = divmod(sizes[j - 1], sizes[j])
-            r = 0
-            while ratio % q == 0:
-                ratio //= q
-                r += 1
-            if rem or ratio != 1:
-                raise RuntimeError(f"image size ratio is not a power of {q}")
-            counts.append(r)
-        # counts[j-1] = number of invariant factors divisible by q^j
+        if q ** v == N:
+            counts = _image_counts(elements, index, q, curve)
+        else:
+            group = [elements[g] for g in _sylow_subgroup(N, q, q ** v, add)]
+            counts = _image_counts(group, _SylowIndex(group, index, q), q, curve)
         if counts:
             exponents_by_prime[q] = [
                 sum(1 for c in counts if c >= i) for i in range(1, counts[0] + 1)

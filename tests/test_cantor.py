@@ -369,3 +369,35 @@ def test_three_invariant_factors_frozen():
         for fac in factors:
             expect *= math.gcd(d, fac)
         assert count == expect
+
+
+@pytest.mark.parametrize(
+    "seed, order, factors, sylow",
+    [(10, 112, [2, 2, 28], 16), (8, 16, [4, 4], 16)],
+    ids=["proper-non-cyclic", "q-group"])
+def test_sylow_maps_match_torsion_counts(seed, order, factors, sylow):
+    # at p = 11 (seed 10) S_2 = Z/2 x Z/2 x Z/4 is built by closure inside
+    # N = 112; at p = 5 (seed 8) J = Z/4 x Z/4 is its own S_2.  The maps
+    # run on S_2 alone, so the factors are checked against torsion counts
+    # over all of J, from scalar_mul, and S_2 against the 16-torsion
+    curve = random_curve(random.Random(seed), pmax=11)
+    assert enumerate_jacobian(curve) == (order, factors)
+    ds = all_divisors(curve)
+    for d in sorted(set(range(2, 17)) | {28}):
+        count = sum(1 for x in ds if scalar_mul(d, x, curve) == IDENTITY)
+        assert count == math.prod(math.gcd(d, fac) for fac in factors), d
+    index = {d: i for i, d in enumerate(ds)}
+    members = cantor._sylow_subgroup(len(ds), 2, sylow,
+                                     lambda a, b: index[compose(ds[a], ds[b], curve)])
+    assert members[0] == 0 and len(set(members)) == sylow
+    assert sorted(members) == [i for i, x in enumerate(ds)
+                               if scalar_mul(sylow, x, curve) == IDENTITY]
+
+
+def test_mumford_fast_constructor_keeps_the_named_tuple():
+    d = cantor._mumford(((4, 1), (2,)))
+    assert type(d) is MumfordDivisor and d == MumfordDivisor((4, 1), (2,))
+    assert repr(d) == "MumfordDivisor(u=(4, 1), v=(2,))" and d.u == (4, 1) and d.v == (2,)
+    curve = GenusTwoCurve(7, (3, 1, 0, 0, 0, 1))
+    assert all(type(x) is MumfordDivisor for x in all_divisors(curve))
+    assert all(type(negate(x, curve)) is MumfordDivisor for x in all_divisors(curve))

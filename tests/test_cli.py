@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -352,6 +353,53 @@ def test_oracle_cantor_fault_exit_code(monkeypatch, capsys, fault, seed, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
+
+
+def test_oracle_negated_explicit_still_caught_on_every_seed(monkeypatch, capsys):
+    # maps run over all of J caught these ten seeds of 60; the maps over
+    # S_q compose less, and the Sylow closure's own checks must make up
+    # for it on every one of them
+    _negated_explicit(monkeypatch)
+    caught = set()
+    for seed in range(60):
+        if main(["oracle", "--curves", "1", "--pmax", "11", "--seed", str(seed)]) == 2:
+            caught.add(seed)
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (seed, lines)
+    assert {9, 17, 23, 24, 25, 34, 44, 45, 53, 56} <= caught
+
+
+class _Hang(BaseException):
+    """Raised by the alarm; main does not catch it, so the test fails."""
+
+
+def _alarm(signum, frame):
+    raise _Hang
+
+
+@pytest.mark.parametrize("seed", [0, 8, 9])
+@pytest.mark.parametrize(
+    "law", [lambda d1, d2, curve: cantor.IDENTITY, lambda d1, d2, curve: d1],
+    ids=["identity", "first-operand"])
+def test_oracle_broken_group_law_ends_in_one_error(monkeypatch, capsys, law, seed):
+    # every loop of the enumeration is bounded by the group order, so a
+    # law that sends every sum to 0 or to its first operand ends in a
+    # computation error within seconds.  Seed 0 draws N = 40, whose
+    # Sylow 2-subgroup the closure builds; seeds 8 and 9 draw the 2-group
+    # Z/4 x Z/4 and the 3-group Z/81, mapped whole, where 2P = 0 must
+    # agree with P = -P
+    monkeypatch.setattr(cantor, "compose", law)
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.alarm(10)
+    try:
+        rc = main(["oracle", "--curves", "1", "--pmax", "11", "--seed", str(seed)])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
 
 
 def test_verify_passes(capsys):
