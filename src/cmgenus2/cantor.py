@@ -484,10 +484,13 @@ def _sylow_subgroup(N: int, q: int, order: int, add) -> list[int]:
         if r in seen:
             continue
         steps = [r]  # jR for 0 < j < k
-        while (nxt := add(steps[-1], r)) not in seen:
+        while len(members) * (len(steps) + 1) <= order:
+            nxt = add(steps[-1], r)
+            if nxt in seen:
+                break
             steps.append(nxt)
-            if len(members) * (len(steps) + 1) > order:
-                raise RuntimeError(f"the Sylow {q}-subgroup exceeds {order} elements")
+        else:
+            raise RuntimeError(f"the Sylow {q}-subgroup exceeds {order} elements")
         base = list(members)
         for s in steps:
             for g in base:

@@ -335,19 +335,29 @@ def _off_curve_doubling(monkeypatch):
     monkeypatch.setattr(cantor, "compose", compose)
 
 
+def _zero_sums(monkeypatch):
+    monkeypatch.setattr(cantor, "compose", lambda d1, d2, curve: cantor.IDENTITY)
+
+
 @pytest.mark.parametrize(
     "fault, seed, message",
     [(_negated_explicit, 9, "error: image size ratio is not a power of 3"),
      (_off_curve_doubling, 0,
-      "error: MumfordDivisor(u=(0, 0, 1), v=(1,)) is not an enumerated divisor")],
-    ids=["negated-explicit", "off-curve-doubling"])
+      "error: MumfordDivisor(u=(0, 0, 1), v=(1,)) is not an enumerated divisor"),
+     (_negated_explicit, 0, "error: the Sylow 2-subgroup exceeds 8 elements"),
+     (_negated_explicit, 23, "error: cosets of the Sylow 3-subgroup overlap"),
+     (_zero_sums, 0, "error: the Sylow 2-subgroup reaches 1 of 8 elements")],
+    ids=["negated-explicit", "off-curve-doubling", "sylow-exceeds", "sylow-cosets-overlap",
+         "sylow-short"])
 def test_oracle_cantor_fault_exit_code(monkeypatch, capsys, fault, seed, message):
-    # a wrong group law fails the image-size check, a sum off the curve
-    # the element lookup; both are computation errors, not tracebacks.
-    # Seed 9 draws N = 81 = 3^4, whose 3-ladder adds; at seed 0, N = 40 =
-    # 2^3 * 5 maps only q = 2, by doublings, which a negated sum leaves
-    # with the same image sizes.  The whole line is pinned, so the class
-    # repr in the lookup fault cannot change unnoticed.
+    # a wrong group law fails the image-size check or the closure that
+    # builds a Sylow subgroup, a sum off the curve the element lookup; all
+    # are computation errors, not tracebacks.  Seed 9 draws N = 81 = 3^4,
+    # mapped whole, whose 3-ladder adds.  At seed 0, N = 40 = 2^3 * 5, and
+    # S_2 is built from the multiples [5]P, whose ladder adds: with sums
+    # negated, <R> runs past 8 elements, and with every sum 0, S_2 stays
+    # at the identity.  The whole line is pinned, so the class repr in the
+    # lookup fault cannot change unnoticed.
     fault(monkeypatch)
     assert main(["oracle", "--curves", "1", "--pmax", "11", "--seed", str(seed)]) == 2
     captured = capsys.readouterr()
@@ -377,18 +387,21 @@ def _alarm(signum, frame):
     raise _Hang
 
 
+def _first_operand_sums(monkeypatch):
+    monkeypatch.setattr(cantor, "compose", lambda d1, d2, curve: d1)
+
+
 @pytest.mark.parametrize("seed", [0, 8, 9])
-@pytest.mark.parametrize(
-    "law", [lambda d1, d2, curve: cantor.IDENTITY, lambda d1, d2, curve: d1],
-    ids=["identity", "first-operand"])
-def test_oracle_broken_group_law_ends_in_one_error(monkeypatch, capsys, law, seed):
+@pytest.mark.parametrize("fault", [_zero_sums, _first_operand_sums],
+                         ids=["identity", "first-operand"])
+def test_oracle_broken_group_law_ends_in_one_error(monkeypatch, capsys, fault, seed):
     # every loop of the enumeration is bounded by the group order, so a
     # law that sends every sum to 0 or to its first operand ends in a
     # computation error within seconds.  Seed 0 draws N = 40, whose
     # Sylow 2-subgroup the closure builds; seeds 8 and 9 draw the 2-group
     # Z/4 x Z/4 and the 3-group Z/81, mapped whole, where 2P = 0 must
     # agree with P = -P
-    monkeypatch.setattr(cantor, "compose", law)
+    fault(monkeypatch)
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.alarm(10)
     try:
