@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .integerkit import factorize, is_probable_prime
+from .integerkit import factorize, is_probable_prime, valuation
 
 Poly = tuple[int, ...]  # little-endian coefficients, no trailing zeros, () = 0
 
@@ -535,11 +535,8 @@ def _image_counts(group: list[MumfordDivisor], index: dict, q: int,
     counts = []
     for j in range(1, len(sizes)):
         ratio, rem = divmod(sizes[j - 1], sizes[j])
-        r = 0
-        while ratio % q == 0:
-            ratio //= q
-            r += 1
-        if rem or ratio != 1:
+        r = valuation(ratio, q)
+        if rem or q ** r != ratio:
             raise RuntimeError(f"image size ratio is not a power of {q}")
         counts.append(r)
     return counts
@@ -637,10 +634,11 @@ def point_count_order(curve: GenusTwoCurve) -> int:
 
 
 def random_curve(rng: random.Random, pmax: int = 31, pmin: int = 5) -> GenusTwoCurve:
-    """A uniformly random squarefree quintic curve with p in [pmin, pmax]."""
+    """A uniformly random squarefree quintic curve with p in [pmin, pmax];
+    a draw of p outside 5..61, which ``GenusTwoCurve`` rejects, is drawn again."""
     primes = [q for q in range(pmin, pmax + 1) if is_probable_prime(q)]
-    if not primes:
-        raise ValueError(f"no odd primes in [{pmin}, {pmax}]")
+    if not any(5 <= q <= 61 for q in primes):
+        raise ValueError(f"no prime in [{pmin}, {pmax}] lies in 5..61")
     while True:
         p = rng.choice(primes)
         f = tuple(rng.randrange(p) for _ in range(5)) + (1,)

@@ -6,13 +6,15 @@ used, so answers in that range are exact; above it the fixed witnesses are
 supplemented with 24 random rounds seeded from n, so the composite error
 probability is at most 4**(-24).
 
-Factoring is trial division over a cached table of small primes followed
-by Pollard rho with Brent cycle detection, up to ``TRIAL_LIMIT`` and for
+Factoring is trial division over a table of small primes followed by
+Pollard rho with Brent cycle detection, up to ``TRIAL_LIMIT`` and for
 ``RHO_ITERS`` steps, the one budget.  Trial division skips each block of
 256 consecutive primes whose product is coprime to the rest with one gcd
 (the simplest case of Bernstein's product trees, "How to find smooth
-parts of integers", 2004).  The block products are built once per process with
-the table, about 20 ms on top of the 24 ms sieve to 10**6.
+parts of integers", 2004).  A table and its block products are sieved
+once per bound and cached; the bounds are powers of two or a limit, so
+a process keeps about log2(limit) of them.  The table to 10**6 takes
+about 20 ms of products on top of a 24 ms sieve.
 It is deliberately cheap: the numbers this package meets are smooth times
 at most one large prime cofactor.  When the budget runs out, the rest in
 ``factorize``'s (prime powers, rest) pair is the unfactored composite.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from functools import cache
 from itertools import compress
 
 # Strong-pseudoprime witness schedule.  Each entry (bound, witnesses) is a
@@ -54,12 +57,6 @@ RHO_ITERS = 2_000_000
 # trial division tests this many consecutive primes of the table at once,
 # by one gcd with their product
 _BLOCK = 256
-
-# (bound, every prime up to bound ascending, the product of each _BLOCK
-# of the table in turn): sieved on first need and replaced only by a
-# longer table, as one tuple so that no thread pairs a table with another
-# table's bound or products
-_prime_table: tuple[int, array, tuple[int, ...]] = (0, array("I"), ())
 
 
 def is_probable_prime(n: int) -> bool:
@@ -142,29 +139,20 @@ def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int:
     return 0
 
 
-def _primes_up_to(bound: int) -> array:
-    """A table of the primes, ascending, holding every prime up to ``bound``.
-
-    The table is sieved (odd numbers only) on the first call that needs
-    more than it holds and kept for later calls, with its block products,
-    so it may run past ``bound``.
-    """
-    global _prime_table
-    sieved, table, _ = _prime_table
-    if bound > sieved:
-        size = (bound - 1) // 2  # flags[i] stands for 2*i + 3
-        flags = bytearray([1]) * size
-        for i in range((math.isqrt(bound) - 1) // 2):
-            if flags[i]:
-                p = 2 * i + 3
-                start = (p * p - 3) // 2
-                flags[start::p] = bytes(len(range(start, size, p)))
-        table = array("I", [2] if bound >= 2 else [])
-        table.extend(compress(range(3, bound + 1, 2), flags))
-        products = tuple(math.prod(table[i:i + _BLOCK]) for i in range(0, len(table), _BLOCK))
-        if bound > _prime_table[0]:
-            _prime_table = (bound, table, products)
-    return table
+@cache
+def _prime_blocks(bound: int) -> tuple[array, tuple[int, ...]]:
+    """Every prime up to ``bound``, ascending, and the product of each
+    ``_BLOCK`` of them in turn; sieved over the odd numbers once per bound."""
+    size = (bound - 1) // 2  # flags[i] stands for 2*i + 3
+    flags = bytearray([1]) * size
+    for i in range((math.isqrt(max(bound, 0)) - 1) // 2):
+        if flags[i]:
+            p = 2 * i + 3
+            start = (p * p - 3) // 2
+            flags[start::p] = bytes(len(range(start, size, p)))
+    table = array("I", [2] if bound >= 2 else [])
+    table.extend(compress(range(3, bound + 1, 2), flags))
+    return table, tuple(math.prod(table[i:i + _BLOCK]) for i in range(0, len(table), _BLOCK))
 
 
 def trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -175,9 +163,10 @@ def trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int
     Only primes are tried, and the scan stops at the first prime above
     ``limit`` or above the square root of the rest.  The prime table is
     sized from isqrt(n), rounded up to a power of two and capped at
-    ``limit``, so small n never sieve far.  The table is walked a block
-    of ``_BLOCK`` primes at a time: a block whose product is coprime to
-    the rest is skipped whole, any other is scanned prime by prime.
+    ``limit``, so small n never sieve far and few sizes are cached.  The
+    table is walked a block of ``_BLOCK`` primes at a time: a block whose
+    product is coprime to the rest is skipped whole, any other is scanned
+    prime by prime.
     """
     if n < 1:
         raise ValueError("trial division requires n >= 1")
@@ -185,8 +174,7 @@ def trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int
     found = []
     m = n
     top = min(limit, root)
-    _primes_up_to(min(limit, 1 << (root - 1).bit_length()))
-    _, table, products = _prime_table  # one read: the table and its products
+    table, products = _prime_blocks(min(limit, 1 << (root - 1).bit_length()))
     for start, product in zip(range(0, len(table), _BLOCK), products):
         if table[start] > top:
             break

@@ -353,6 +353,18 @@ def test_random_curve_determinism():
     assert a == b
 
 
+@pytest.mark.parametrize("pmin, pmax", [(67, 67), (2, 3), (62, 66), (8, 10), (14, 13)])
+def test_random_curve_rejects_a_range_without_a_curve_prime(pmin, pmax):
+    # GenusTwoCurve rejects every prime of such a range, so redrawing
+    # would never end
+    with pytest.raises(ValueError, match=rf"no prime in \[{pmin}, {pmax}\] lies in 5\.\.61"):
+        random_curve(random.Random(0), pmax=pmax, pmin=pmin)
+
+
+def test_random_curve_redraws_primes_below_five():
+    assert {random_curve(random.Random(seed), pmax=7, pmin=2).p for seed in range(20)} == {5, 7}
+
+
 def test_three_invariant_factors_frozen():
     # expected values frozen from the independent torsion-count oracle:
     # d-torsion size equals prod gcd(d, d_i) for d in 2..12

@@ -82,6 +82,26 @@ def test_validate_missing_key(tmp_path, capsys):
     assert main(["validate", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("config, omega, problem", [
+    ("D = 2\na 2\nb = 1\n", "7,-1,2,1", ":2: expected key = value"),
+    ("D = 2\na = 2\nb = 1\na = 3\n", "7,-1,2,1", ":4: duplicate key 'a'"),
+    ("D = two\na = 2\nb = 1\n", "7,-1,2,1", "D, a, b must be integers"),
+    ("D = 2\na = 2\nb = 1\nbasis = eta\n", "7,-1,2,1",
+     "basis must be 'xi' or 'sqrtD', got 'eta'"),
+    ("D = 2\na = 2\nb = 1\n", "7,-1,2", "omega must be four comma-separated integers"),
+    ("D = 2\na = 2\nb = 1\n", "7,-1,x,1", "omega coordinates must be integers"),
+], ids=["no-equals", "duplicate-key", "non-integer-D", "unknown-basis", "three-coordinates",
+        "non-integer-coordinate"])
+def test_config_and_omega_input_errors(tmp_path, capsys, config, omega, problem):
+    cfg = tmp_path / "field.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    assert main(["analyze", str(cfg), f"--omega={omega}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and problem in lines[0], lines
+
+
 @pytest.mark.parametrize(
     "argv", [["validate"], ["gen", "--bits", "24"], ["analyze", "--omega", "7,-1,2,1"]]
 )
@@ -339,6 +359,11 @@ def _zero_sums(monkeypatch):
     monkeypatch.setattr(cantor, "compose", lambda d1, d2, curve: cantor.IDENTITY)
 
 
+def _order_five_negation(monkeypatch):
+    order_five = cantor.MumfordDivisor((3, 5, 1), (2, 1))
+    monkeypatch.setattr(cantor, "negate", lambda d, curve: order_five)
+
+
 @pytest.mark.parametrize(
     "fault, seed, message",
     [(_negated_explicit, 9, "error: image size ratio is not a power of 3"),
@@ -346,9 +371,11 @@ def _zero_sums(monkeypatch):
       "error: MumfordDivisor(u=(0, 0, 1), v=(1,)) is not an enumerated divisor"),
      (_negated_explicit, 0, "error: the Sylow 2-subgroup exceeds 8 elements"),
      (_negated_explicit, 23, "error: cosets of the Sylow 3-subgroup overlap"),
-     (_zero_sums, 0, "error: the Sylow 2-subgroup reaches 1 of 8 elements")],
+     (_zero_sums, 0, "error: the Sylow 2-subgroup reaches 1 of 8 elements"),
+     (_order_five_negation, 0,
+      "error: MumfordDivisor(u=(3, 5, 1), v=(2, 1)) is not in the Sylow 2-subgroup")],
     ids=["negated-explicit", "off-curve-doubling", "sylow-exceeds", "sylow-cosets-overlap",
-         "sylow-short"])
+         "sylow-short", "sylow-membership"])
 def test_oracle_cantor_fault_exit_code(monkeypatch, capsys, fault, seed, message):
     # a wrong group law fails the image-size check or the closure that
     # builds a Sylow subgroup, a sum off the curve the element lookup; all
@@ -356,13 +383,36 @@ def test_oracle_cantor_fault_exit_code(monkeypatch, capsys, fault, seed, message
     # mapped whole, whose 3-ladder adds.  At seed 0, N = 40 = 2^3 * 5, and
     # S_2 is built from the multiples [5]P, whose ladder adds: with sums
     # negated, <R> runs past 8 elements, and with every sum 0, S_2 stays
-    # at the identity.  The whole line is pinned, so the class repr in the
-    # lookup fault cannot change unnoticed.
+    # at the identity; a negation that returns a class of order 5 leaves
+    # S_2.  The whole line is pinned, so the class repr in the lookup
+    # faults cannot change unnoticed.
     fault(monkeypatch)
     assert main(["oracle", "--curves", "1", "--pmax", "11", "--seed", str(seed)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("factors, padded", [
+    ([1, 2, 2, 2, 14], None),
+    ([4, 4, 28], ["1", "4", "4", "28"]),
+], ids=["five-factors", "n2-not-dividing-p-1"])
+def test_oracle_counterexample_report(monkeypatch, capsys, factors, padded):
+    # seed 10 at pmax 11 draws p = 11 with N = 112; five invariant factors
+    # exceed the rank bound, and n2 = 4 of the chain [4, 4, 28] does not
+    # divide p - 1 = 10, so the curve is reported as a counterexample
+    monkeypatch.setattr(cantor, "enumerate_jacobian", lambda curve: (112, factors))
+    assert main(["oracle", "--curves", "1", "--pmax", "11", "--seed", "10", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"counterexample": {
+        "p": "11",
+        "f": ["0", "6", "7", "9", "0", "1"],
+        "order": "112",
+        "invariant_factors": [str(d) for d in factors],
+        "padded": padded,
+        "ok": False,
+    }}
 
 
 def test_oracle_negated_explicit_still_caught_on_every_seed(monkeypatch, capsys):

@@ -2,7 +2,6 @@ import math
 import random
 import subprocess
 import sys
-from array import array
 from pathlib import Path
 
 import pytest
@@ -190,14 +189,10 @@ def wide_integers(draw) -> int:
 
 
 def cold_trial_division(n: int, limit: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """trial_division with the cached prime table dropped first, so the
-    table it scans is the one sized from n and the limit alone."""
-    saved = integerkit._prime_table
-    integerkit._prime_table = (0, array("I"), ())
-    try:
-        return trial_division(n, limit)
-    finally:
-        integerkit._prime_table = saved
+    """trial_division with the cached prime tables dropped first, so the
+    table it scans is sieved afresh."""
+    integerkit._prime_blocks.cache_clear()
+    return trial_division(n, limit)
 
 
 @settings(max_examples=100, deadline=None)
@@ -220,33 +215,35 @@ def test_trial_division_at_the_largest_table_prime(n, limit):
     assert trial_division(n, limit) == expected
 
 
-def test_prime_table_to_one_million(monkeypatch):
-    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
-    table = integerkit._primes_up_to(10**6)
+def test_prime_table_to_one_million():
+    integerkit._prime_blocks.cache_clear()
+    table, _ = integerkit._prime_blocks(10**6)
     assert len(table) == 78498
     assert table[-1] == LARGEST_PRIME_BELOW_MILLION
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 8, 9, 15, 16, 25, 49, 50, 121, 1024, 10**6])
-def test_prime_table_matches_sieve(monkeypatch, bound):
-    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
-    table = integerkit._primes_up_to(bound)
+def test_prime_table_matches_sieve(bound):
+    table, _ = integerkit._prime_blocks(bound)
     assert list(table) == [i for i, prime in enumerate(sieve(bound + 1)) if prime]
 
 
 def test_small_orders_build_a_small_table(monkeypatch):
     # Jacobian orders over F_p with p <= 31 stay below (sqrt(31) + 1)^4
-    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
+    bounds = set()
+    prime_blocks = integerkit._prime_blocks
+    monkeypatch.setattr(integerkit, "_prime_blocks",
+                        lambda bound: bounds.add(bound) or prime_blocks(bound))
     for n in range(1, 1861):
         factorize(n)
-    assert integerkit._prime_table[0] <= 2**10
+    assert max(bounds) <= 2**10
 
 
 MERSENNE_89 = 2**89 - 1  # prime, far above the trial wall
 
 
 def million_table() -> list[int]:
-    return list(integerkit._primes_up_to(10**6))
+    return list(integerkit._prime_blocks(10**6)[0])
 
 
 @pytest.mark.parametrize("index", [
@@ -279,29 +276,25 @@ def test_trial_division_across_the_first_block_boundary(limit):
         assert expected == (((a, 1),), b)
 
 
-def test_grown_table_matches_cold_table(monkeypatch):
+def test_grown_table_matches_cold_table():
+    # both limits in one process give what each gives in a process of its own
     rng = random.Random(5)
     values = [rng.getrandbits(rng.randrange(8, 257)) | 1 for _ in range(200)]
-    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
-    integerkit._primes_up_to(10**6)
-    cold_table = integerkit._prime_table
+    integerkit._prime_blocks.cache_clear()
     cold = [trial_division(n, 10**6) for n in values]
-    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
+    integerkit._prime_blocks.cache_clear()
     small = [trial_division(n, 10**4) for n in values]
-    assert integerkit._prime_table[0] <= 10**4
     assert [trial_division(n, 10**6) for n in values] == cold
-    assert integerkit._prime_table == cold_table
     assert [trial_division(n, 10**4) for n in values] == small
+    # the bounds are min(limit, 2**k): 2**0 to 2**19, 10**4 and 10**6
+    assert integerkit._prime_blocks.cache_info().currsize <= 22
 
 
 # 1619 and 3671 are the 256th and 512th primes: tables of exactly one or two
 # full blocks at _BLOCK = 256, and one more prime after each
 @pytest.mark.parametrize("bound", [1, 2, 100, 1619, 1621, 3671, 3673, 10**4, 10**6])
-def test_block_products(monkeypatch, bound):
-    monkeypatch.setattr(integerkit, "_prime_table", (0, array("I"), ()))
-    table = list(integerkit._primes_up_to(bound))
-    sieved, stored, products = integerkit._prime_table
-    assert (sieved, list(stored)) == (bound, table)
+def test_block_products(bound):
+    table, products = integerkit._prime_blocks(bound)
     blocks = [table[i : i + integerkit._BLOCK] for i in range(0, len(table), integerkit._BLOCK)]
     assert len(products) == len(blocks)
     for product, block in zip(products, blocks):
@@ -323,7 +316,8 @@ def test_valuation_rejects_units_and_zero(q):
 
 def test_import_builds_no_prime_table():
     src = Path(integerkit.__file__).resolve().parents[1]
-    code = "import cmgenus2; from cmgenus2 import integerkit; print(integerkit._prime_table[0])"
+    code = ("import cmgenus2; from cmgenus2 import integerkit; "
+            "print(integerkit._prime_blocks.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={"PYTHONPATH": str(src)})
     assert out.stdout.strip() == "0"
