@@ -12,6 +12,12 @@ claims under test do not depend on the degree-6 generality).  Divisor
 classes are Mumford pairs (u, v), u monic of degree at most 2,
 deg v < deg u, u | f - v^2, held as ``MumfordDivisor`` named tuples
 (hashed and compared in C); -(u, v) = (u, -v), with no division.
+``all_divisors`` lists them from the roots of u = (x - a)^2 - w, with
+no reduction of f modulo each quadratic: a split u carries the chords
+through the points above its roots, u = (x - a)^2 the tangents at the
+points above a, and an irreducible u carries classes exactly when the
+norm of f mod u from F_p^2 is a square, read off the Taylor
+coefficients of f at a, taken once per a.
 
 ``compose`` takes nearly every input in closed form, after Lange
 ("Formulae for arithmetic on genus 2 hyperelliptic curves", AAECC 15,
@@ -386,42 +392,81 @@ def _sqrt_table(p: int) -> dict[int, list[int]]:
 
 
 def all_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
-    """Every reduced Mumford pair on the curve."""
+    """Every reduced Mumford pair on the curve: the identity, then the
+    points by root, then the quadratic u by (u1, u0), v by (v1, v0).
+
+    A point (r, s) has s^2 = f(r).  A quadratic u is (x - a)^2 - w with
+    a = -u1/2 and w = a^2 - u0, and f = sum h_k (x - a)^k by its Taylor
+    coefficients at a, taken once per a, so with X = x - a
+    f = Y0 + Y1*X mod u, Y0 = h0 + h2*w + h4*w^2, Y1 = h1 + h3*w + h5*w^2.
+    Writing v = V0 + V1*X, u | f - v^2 reads V0^2 + w*V1^2 = Y0 and
+    2*V0*V1 = Y1, and the classes on u follow from w:
+
+    - w = d^2 != 0: u = (x - a - d)(x - a + d), and v is the chord
+      through a point above each root, for every such pair.
+    - w = 0: v is the tangent at a point (a, s) with s != 0, V0 = s and
+      2*s*V1 = f'(a).  f(a) = f'(a) = 0 would make every V1 a solution:
+      f has a repeated root, which is a fault.
+    - w a nonsquare: (V0 + V1*sqrt(w))^2 = Y0 + Y1*sqrt(w) in F_p^2, so u
+      carries classes exactly when the norm Y0^2 - w*Y1^2 is a square
+      m^2, and then +-v.  V0^2 = (Y0 +- m)/2 for one sign.  With Y1 != 0
+      exactly one of the two is a nonzero square, and V1 = Y1/(2*V0).
+      With Y1 = 0 they are Y0 and 0: a nonzero square Y0 gives V1 = 0,
+      and otherwise V0 = 0 and V1^2 = Y0/w.
+    """
     p, f = curve.p, curve.f
     roots = _sqrt_table(p)  # each list ascending, without repeats
+    sqrts = [roots.get(z) for z in range(p)]  # None for a nonsquare
+    nonsquares = [z for z in range(p) if sqrts[z] is None]
     inv = [0] + [pow(x, -1, p) for x in range(1, p)]
+    half = inv[2]
+    above = [roots.get(p_eval(f, r, p), ()) for r in range(p)]
     out = [IDENTITY]
-    # degree 1: u = x - r with v^2 = f(r)
     for r in range(p):
-        for s in roots.get(p_eval(f, r, p), ()):
+        for s in above[r]:
             out.append(_point(r, s, p))
-    # degree 2: u = x^2 + u1 x + u0, v = v1 x + v0 with u | f - v^2.
-    # Reducing f mod u leaves f1 x + f0; v^2 mod u has linear coefficient
-    # 2 v1 v0 - v1^2 u1 and constant v0^2 - v1^2 u0.  v1 = 0 needs f1 = 0
-    # and v0^2 = f0.  For v1 != 0 the linear match gives
-    # v0 = (f1 + t u1) / (2 v1) with t = v1^2, and the constant match is
-    # then a t^2 + b t + c = 0 with the coefficients below.
     for u1 in range(p):
-        for u0 in range(p):
-            u = (u0, u1, 1)
-            f1 = f0 = 0  # Horner's rule with x^2 = -u1 x - u0, reduced once
-            for c in reversed(f):
-                f1, f0 = f0 - f1 * u1, c - f1 * u0
-            f1, f0 = f1 % p, f0 % p
-            for s in roots.get(f0, ()) if f1 == 0 else ():
-                out.append(_mumford((u, (s,) if s else ())))
-            a, b, c = (u1 * u1 - 4 * u0) % p, (2 * f1 * u1 - 4 * f0) % p, f1 * f1 % p
-            if a:
-                ts = [(r - b) * inv[2 * a % p] % p for r in roots.get((b * b - 4 * a * c) % p, ())]
-            elif b or c:
-                ts = [-c * inv[b] % p] if b else []
-            else:  # u = (x - r)^2 with f(r) = f'(r) = 0
-                raise RuntimeError(f"f is not squarefree: every v1 solves u = {u}")
-            # each t != 0 has no root or two ascending ones, so only two
-            # t's with roots need a sort
-            v1s = [v1 for t in ts if t for v1 in roots.get(t, ())]
-            for v1 in sorted(v1s) if len(v1s) > 2 else v1s:
-                out.append(_mumford((u, ((f1 + v1 * v1 * u1) * inv[2 * v1 % p] % p, v1))))
+        a = -u1 * half % p
+        h = list(f)  # Taylor shift to a by repeated synthetic division
+        for k in range(5):
+            for i in range(4, k - 1, -1):
+                h[i] = (h[i] + a * h[i + 1]) % p
+        h0, h1, h2, h3, h4, _ = h  # h5 = 1
+        aa = a * a
+        found = []  # (u0, v1, v0), v1 = V1 and v0 = V0 - V1*a
+        if h0:
+            for s in above[a]:
+                t = h1 * inv[2 * s % p] % p
+                found.append((aa % p, t, (s - t * a) % p))
+        elif not h1:
+            raise RuntimeError(f"f is not squarefree: every v1 solves u = {(aa % p, u1, 1)}")
+        for d in range(1, (p + 1) // 2):
+            ss, ts = above[(a + d) % p], above[(a - d) % p]
+            if ss and ts:
+                u0, k = (aa - d * d) % p, inv[2 * d % p]
+                for s in ss:
+                    for t in ts:
+                        v1 = (s - t) * k % p
+                        found.append((u0, v1, (s - v1 * (a + d)) % p))
+        for w in nonsquares:
+            y0 = (h0 + w * (h2 + w * h4)) % p
+            y1 = (h1 + w * (h3 + w)) % p
+            ms = sqrts[(y0 * y0 - w * y1 * y1) % p]
+            if ms is None:
+                continue
+            u0 = (aa - w) % p
+            for sq in ((y0 + ms[0]) * half % p, (y0 - ms[0]) * half % p):
+                if sq and sqrts[sq]:
+                    for s in sqrts[sq]:
+                        t = y1 * inv[2 * s % p] % p
+                        found.append((u0, t, (s - t * a) % p))
+                    break
+            else:
+                for t in sqrts[y0 * inv[w] % p]:
+                    found.append((u0, t, -t * a % p))
+        found.sort()
+        for u0, v1, v0 in found:
+            out.append(_mumford(((u0, u1, 1), (v0, v1) if v1 else (v0,) if v0 else ())))
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -112,12 +113,62 @@ def test_all_divisors_match_brute_force():
 
 
 def test_all_divisors_rejects_a_repeated_root():
-    # on y^2 = x^5, u = x^2 divides f - v^2 for every v = v1 x
-    curve = object.__new__(GenusTwoCurve)
-    object.__setattr__(curve, "p", 5)
-    object.__setattr__(curve, "f", (0, 0, 0, 0, 0, 1))
-    with pytest.raises(RuntimeError, match="not squarefree"):
-        all_divisors(curve)
+    # on y^2 = x^5, u = x^2 divides f - v^2 for every v = v1 x; so does
+    # u = (x - 2)^2 on y^2 = (x - 2)^2 (x^3 + x + 1) over F_7, for every
+    # v = v1 (x - 2)
+    for p, f, u in [(5, (0, 0, 0, 0, 0, 1), (0, 0, 1)),
+                    (7, p_mul((4, 3, 1), (1, 1, 0, 1), 7), (4, 3, 1))]:
+        curve = object.__new__(GenusTwoCurve)
+        object.__setattr__(curve, "p", p)
+        object.__setattr__(curve, "f", f)
+        with pytest.raises(RuntimeError, match=re.escape(f"not squarefree: every v1 solves u = {u}")):
+            all_divisors(curve)
+
+
+def _listing_key(d, p):
+    """all_divisors' documented order: the identity, the points by root,
+    then the quadratic u by (u1, u0), v by (v1, v0)."""
+    u, (v0, v1) = d.u, (d.v + (0, 0))[:2]
+    if len(u) == 1:
+        return (0,)
+    if len(u) == 2:
+        return (1, -u[0] % p, 0, 0, v0)
+    return (2, u[1], u[0], v1, v0)
+
+
+def test_all_divisors_complete_at_every_prime():
+    # two random curves per supported prime: distinct valid classes, as
+    # many as point counting gives, in the documented order
+    rng = random.Random(50)
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        for _ in range(2):
+            curve = random_curve(rng, pmax=p, pmin=p)
+            ds = all_divisors(curve)
+            keys = [_listing_key(d, p) for d in ds]
+            assert keys == sorted(set(keys)), curve
+            assert len(ds) == point_count_order(curve), curve
+            assert all(is_valid_divisor(d, curve) for d in ds), curve
+
+
+@pytest.mark.parametrize("p, f, u, rest", [
+    (43, (3, 14, 28, 0, 13, 1), (12, 19, 1), "zero"),
+    (53, (42, 48, 6, 25, 22, 1), (37, 4, 1), "square"),
+    (53, (42, 48, 6, 25, 22, 1), (14, 0, 1), "nonsquare"),
+])
+def test_all_divisors_on_irreducible_u_with_constant_f_mod_u(p, f, u, rest):
+    # f mod u = Y0 is constant (Y1 = 0) on an irreducible u = (x - a)^2 - w.
+    # Y0 = 0 gives v = 0 alone; a nonzero square Y0 gives v = +-sqrt(Y0),
+    # though the other root of the norm Y0^2 would put V0 = 0; a nonsquare
+    # Y0 gives v = +-V1*(x - a) with V1^2 = Y0/w
+    squares = {y * y % p for y in range(p)}
+    assert (u[1] * u[1] - 4 * u[0]) % p not in squares
+    y0 = p_mod(f, u, p)
+    assert len(y0) <= 1
+    assert rest == ("zero" if not y0 else "square" if y0[0] in squares else "nonsquare")
+    vs = [_trim([v0, v1]) for v1 in range(p) for v0 in range(p)]
+    expected = [MumfordDivisor(u, v) for v in vs if not p_mod(p_sub(f, p_mul(v, v, p), p), u, p)]
+    assert len(expected) == (1 if rest == "zero" else 2)
+    assert [d for d in all_divisors(GenusTwoCurve(p, f)) if d.u == u] == expected
 
 
 def test_identity_and_inverses():
