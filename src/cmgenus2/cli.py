@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import cmfield, frobenius, golden, integerkit, structure
 from .cmfield import Basis, ValidatedField
-from .integerkit import trial_division
+from .integerkit import is_probable_prime, trial_division
 from .primegen import CompositeP, InvalidOmega, make_certificate, negate, search_prime
 
 EXIT_OK = 0
@@ -119,7 +119,7 @@ def _emit_human(obj, out, indent: int = 0) -> None:
 def _trial_factors_view(n: int) -> dict:
     """n as trial division to the wall splits it, the rest tested once."""
     small, rest = trial_division(n, integerkit.TRIAL_LIMIT)
-    if rest > 1 and integerkit.survivor_is_prime(rest):
+    if rest > 1 and is_probable_prime(rest):
         small, rest = (*small, (rest, 1)), 1
     view: dict = {"factors": [[q, e] for q, e in small]}
     if rest != 1:

@@ -1,10 +1,12 @@
 """Arbitrary-precision integer utilities: primality, factoring, valuations, divisors.
 
-Primality is strong-pseudoprime (Miller-Rabin) testing.  Below the
-verified threshold 3.3 * 10**24 a fixed deterministic witness schedule is
-used, so answers in that range are exact; above it the fixed witnesses are
-supplemented with 24 random rounds seeded from n, so the composite error
-probability is at most 4**(-24).
+Primality is strong-pseudoprime (Miller-Rabin) testing with one rule:
+the first k primes, as bases, decide every n below psi_k, the least
+strong pseudoprime to all of them (OEIS A014233; k = 12 and 13 are
+Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+Math. Comp. 86, 2017).  So answers below psi_13 = 3.3 * 10**24 are exact;
+above it the 13 bases are followed by 24 random rounds seeded from n, so
+the composite error probability is at most 4**(-24).
 
 Factoring is trial division over a table of small primes followed by
 Pollard rho with Brent cycle detection, up to ``TRIAL_LIMIT`` and for
@@ -28,25 +30,16 @@ from array import array
 from functools import cache
 from itertools import compress
 
-# Strong-pseudoprime witness schedule.  Each entry (bound, witnesses) is a
-# proven-deterministic set for n < bound; the last entry covers n up to
-# 3.317e24 with the first 13 primes.
-_DETERMINISTIC_WITNESSES: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2047, (2,)),
-    (1373653, (2, 3)),
-    (9080191, (31, 73)),
-    (25326001, (2, 3, 5)),
-    (3215031751, (2, 3, 5, 7)),
-    (3474749660383, (2, 3, 5, 7, 11, 13)),
-    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
-    (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (318665857834031151167461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)),
-    (3317044064679887385961981, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
+# The first 13 primes, tried as trial divisors and then as bases in turn,
+# and psi_k of OEIS A014233: once the k-th base passes, n < psi_k is prime.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
 )
 
-DETERMINISTIC_LIMIT = _DETERMINISTIC_WITNESSES[-1][0]
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+DETERMINISTIC_LIMIT = _PSI[-1]
 
 _RANDOM_ROUNDS = 24
 
@@ -62,18 +55,17 @@ _BLOCK = 256
 def is_probable_prime(n: int) -> bool:
     """Strong-pseudoprime test.
 
-    Deterministic (exact) for n < 3.317e24 via fixed witness sets; above
-    that, the fixed 13-prime base set plus 24 random witnesses, for a
-    composite escape probability <= 4**(-24).  The random witnesses come
-    from a generator seeded from n, so results are reproducible.
+    The first k primes decide n < psi_k (OEIS A014233), so the answer is
+    exact below ``DETERMINISTIC_LIMIT`` = psi_13 = 3.317e24; above it, the
+    13 bases plus 24 random witnesses, for a composite escape probability
+    <= 4**(-24).  The random witnesses come from a generator seeded from
+    n, so results are reproducible.
     """
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
+    for p in _WITNESSES:
         if n % p == 0:
-            return False
+            return n == p
 
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -90,12 +82,11 @@ def is_probable_prime(n: int) -> bool:
                 return True
         return False
 
-    for bound, witnesses in _DETERMINISTIC_WITNESSES:
-        if n < bound:
-            return all(witness_passes(a) for a in witnesses)
-
-    if not all(witness_passes(a) for a in _DETERMINISTIC_WITNESSES[-1][1]):
-        return False
+    for a, psi in zip(_WITNESSES, _PSI):
+        if not witness_passes(a):
+            return False
+        if n < psi:
+            return True
     rng = random.Random(n)
     return all(witness_passes(rng.randrange(2, n - 1)) for _ in range(_RANDOM_ROUNDS))
 
@@ -208,20 +199,13 @@ def factorize(n: int) -> tuple[tuple[tuple[int, int], ...], int]:
     cofactor = 1
     while pending:
         c = pending.pop()
-        if survivor_is_prime(c):
+        if is_probable_prime(c):
             found[c] = found.get(c, 0) + 1
         elif g := _brent_rho(c, rng, RHO_ITERS):
             pending += (g, c // g)
         else:
             cofactor *= c
     return tuple(sorted(found.items())), cofactor
-
-
-def survivor_is_prime(m: int) -> bool:
-    """Whether m > 1, which has no prime factor up to ``TRIAL_LIMIT``, is
-    prime: outright up to ``TRIAL_LIMIT`` squared, else by the
-    probable-prime test.  The limit is read at call time."""
-    return m <= TRIAL_LIMIT * TRIAL_LIMIT or is_probable_prime(m)
 
 
 def valuation(n: int, q: int) -> int:

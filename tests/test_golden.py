@@ -40,3 +40,5 @@ def test_is_factorization_of_rejects_bad_tables():
     assert not golden.is_factorization_of(((2, 1), (9, 1)), 18)  # composite "prime"
     assert not golden.is_factorization_of(((2, 0), (3, 1)), 3)  # zero exponent
     assert not golden.is_factorization_of(((2, 1), (3, 1)), 12)  # wrong product
+    n = 3825123056546413051  # the least strong pseudoprime to bases 2-31
+    assert not golden.is_factorization_of(((n, 1),), n)  # composite "prime"

@@ -51,6 +51,9 @@ def test_strong_pseudoprimes_are_caught():
     # smallest strong pseudoprime to the first seven prime bases
     assert 341550071728321 == 10670053 * 32010157
     assert not is_probable_prime(341550071728321)
+    # smallest strong pseudoprime to bases 2-31: only base 37 rejects it
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    assert not is_probable_prime(3825123056546413051)
 
 
 def test_beyond_deterministic_threshold():
@@ -61,6 +64,51 @@ def test_beyond_deterministic_threshold():
     composite = (2**128 + 1)  # 59649589127497217 * 5704689200685129054721
     assert composite % 59649589127497217 == 0
     assert not is_probable_prime(composite)
+
+
+# psi_k of OEIS A014233, the least strong pseudoprime to the first k prime
+# bases, as a product of primes: each bound is composite by construction
+PSI_FACTORS = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
+def fools_base(n: int, a: int) -> bool:
+    """Whether odd n > 2 passes the strong-pseudoprime test to base a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+def test_witnesses_are_the_first_primes():
+    flags = sieve(42)
+    assert list(integerkit._WITNESSES) == [n for n in range(42) if flags[n]]
+    assert len(integerkit._PSI) == len(integerkit._WITNESSES)
+
+
+@pytest.mark.parametrize("k", range(1, 14))
+def test_each_bound_fools_the_first_k_bases(k):
+    psi = integerkit._PSI[k - 1]
+    assert math.prod(PSI_FACTORS[psi]) == psi
+    assert all(fools_base(psi, a) for a in integerkit._WITNESSES[:k])
+    assert not is_probable_prime(psi)
+
+
+def test_factorize_splits_the_least_pseudoprime_to_bases_2_to_31(monkeypatch):
+    monkeypatch.setattr(integerkit, "TRIAL_LIMIT", 100)
+    n = 149491 * 747451 * 34233211
+    assert factorize(n) == (((149491, 1), (747451, 1), (34233211, 1)), 1)
 
 
 def test_agrees_with_sieve_up_to_one_million():
