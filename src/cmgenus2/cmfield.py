@@ -11,8 +11,10 @@ a + b*xi down to Q is a perfect square.  That norm is also one of the
 ingredients of the bound Q on odd primes that can divide the second
 invariant factor of the Jacobian group.
 
-Only class-number-one real subfields are supported, enforced through an
-explicit allowlist of D values.
+Only class-number-one real subfields are supported: ``validate`` tests D
+by membership in the explicit allowlist ``SUPPORTED_D`` and nothing else.
+Every allowlisted D is squarefree, at least 2 and not 0 (mod 4), so no
+separate residue, range or squarefree check is needed.
 
 The two cases differ in one fact: xi^2 = t*xi + n with (t, n) = (0, D)
 or (1, (D - 1)/4), which ``xi_square`` decides from D.  ``ValidatedField``
@@ -37,14 +39,6 @@ SUPPORTED_D = frozenset({2, 3, 5, 6, 7, 11, 13, 17, 19, 21, 29, 33, 37, 41, 57, 
 
 class FieldError(ValueError):
     """Invalid CM field parameters."""
-
-
-class NotSquarefree(FieldError):
-    pass
-
-
-class WrongResidue(FieldError):
-    """D = 0 (mod 4) can never be a squarefree radicand."""
 
 
 class NotTotallyPositive(FieldError):
@@ -94,15 +88,6 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
-def _is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 def validate(D: int, a: int, b: int) -> ValidatedField:
     """Check all field invariants and attach Q and the primitivity flag.
 
@@ -111,17 +96,8 @@ def validate(D: int, a: int, b: int) -> ValidatedField:
     those is the caller's policy (generation refuses them, analysis only
     warns).
     """
-    if D % 4 == 0:
-        raise WrongResidue(f"D={D} is divisible by 4")
-    if D < 2:
-        raise UnsupportedD(f"D={D} must be >= 2")
-    if D > 10**6:
-        # the allowlist tops out at 73; skip the O(sqrt(D)) scan
-        raise UnsupportedD(f"D={D} is not on the class-number-one allowlist")
-    if not _is_squarefree(D):
-        raise NotSquarefree(f"D={D} has a square factor")
     if D not in SUPPORTED_D:
-        raise UnsupportedD(f"D={D} is not on the class-number-one allowlist")
+        raise UnsupportedD(f"D={D} is not on the class-number-one allowlist {sorted(SUPPORTED_D)}")
 
     # both real embeddings are positive iff the trace and the norm to Q are
     if 2 * a + xi_square(D)[0] * b <= 0 or radicand_norm(D, a, b) <= 0:

@@ -20,16 +20,18 @@ from cmgenus2.frobenius import (
     hasse_weil_check,
     twist_order,
 )
-from cmgenus2.integerkit import divisors, factorize, is_probable_prime
+from cmgenus2.integerkit import factorize, is_probable_prime
 from cmgenus2.primegen import (
     make_certificate,
     negate,
     odd_part,
     search_prime,
-    solve_divisor_equation,
 )
 from cmgenus2.quartic import QuarticInt, char_poly_oracle, conj_complex, mul, norm_residual
 from cmgenus2.structure import admissible_odd_primes_from, analyze, enumerate_structures
+
+from test_frobenius import random_valid_omegas
+from test_structure import brute_force_structures
 
 F2 = validate(2, 2, 1)
 F3 = validate(3, 5, 2)
@@ -39,41 +41,6 @@ F13 = validate(13, 7, 2)
 
 def _ok(line: str) -> None:
     print(f"[acceptance] {line}")
-
-
-def brute_force_structures(N, p, admissible):
-    ds = divisors(factorize(N)[0])
-    found = []
-    for n1 in ds:
-        for n2 in ds:
-            if n2 % n1 or (p - 1) % n2:
-                continue
-            m = n2
-            while m % 2 == 0:
-                m //= 2
-            ok, d = True, 3
-            while d * d <= m:
-                if m % d == 0:
-                    if d not in admissible:
-                        ok = False
-                        break
-                    while m % d == 0:
-                        m //= d
-                d += 2
-            if ok and m > 1 and m not in admissible:
-                ok = False
-            if not ok:
-                continue
-            for n3 in ds:
-                if n3 % n2:
-                    continue
-                used = n1 * n2 * n3
-                if N % used:
-                    continue
-                n4 = N // used
-                if n4 % n3 == 0:
-                    found.append((n1, n2, n3, n4))
-    return tuple(sorted(found))
 
 
 def test_criterion_1_example1_golden():
@@ -158,25 +125,12 @@ def test_criterion_2_example2_golden():
         f"link pinned inconsistent (published data defect, see ledger)")
 
 
-def _random_valid_omegas(field, rng, count):
-    out = []
-    while len(out) < count:
-        c3 = rng.randrange(1, 50) * rng.choice((1, -1))
-        c4 = rng.randrange(1, 50) * rng.choice((1, -1))
-        sols = solve_divisor_equation(field, c3, c4)
-        if not sols:
-            continue
-        c1, c2 = rng.choice(sols)
-        out.append((c1, c2, c3, c4))
-    return out
-
-
 def test_criterion_3_formula_vs_oracle():
     rng = random.Random(1003)
     mismatches = 0
     total = 0
     for field in (F2, F3, F5, F13):  # 500 per field = 1000 per case
-        for c in _random_valid_omegas(field, rng, 500):
+        for c in random_valid_omegas(field, rng, 500, pair_bound=50):
             p, res = norm_residual(c, field)
             assert res == 0
             closed = list(closed_form_char_poly(field, c, p))

@@ -55,10 +55,16 @@ def test_validate_sqrtd_basis_config(capsys, field5_cfg):
     assert report["Q_sqrtD_basis"] == "220"
 
 
-def test_validate_wrong_residue(tmp_path, capsys):
+def test_validate_rejects_d_off_the_allowlist(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("D = 4\na = 1\nb = 1\n", encoding="utf-8")
     assert main(["validate", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: D=4 is not on the class-number-one allowlist "
+        "[2, 3, 5, 6, 7, 11, 13, 17, 19, 21, 29, 33, 37, 41, 57, 73]\n"
+    )
 
 
 def test_validate_non_primitive_warns(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,7 @@ from cmgenus2.cmfield import (
     NonIntegralConversion,
     NotTotallyPositive,
     NotPrimitive,
-    NotSquarefree,
     UnsupportedD,
-    WrongResidue,
     basis_convert,
     compute_Q,
     is_primitive,
@@ -29,7 +28,7 @@ def test_validate_reference_field():
 
 
 def test_validate_wrong_residue():
-    with pytest.raises(WrongResidue):
+    with pytest.raises(UnsupportedD):
         validate(4, 1, 1)
 
 
@@ -40,7 +39,7 @@ def test_validate_not_totally_positive():
 
 
 def test_validate_not_squarefree():
-    with pytest.raises(NotSquarefree):
+    with pytest.raises(UnsupportedD):
         validate(18, 5, 1)
 
 
@@ -49,6 +48,23 @@ def test_validate_unsupported_allowlist():
         validate(10, 4, 1)
     with pytest.raises(UnsupportedD):
         validate(1, 2, 1)
+
+
+@pytest.mark.parametrize("D", [*range(-10, 101), 10**6 + 1, 10**18])
+def test_validate_accepts_exactly_the_allowlist(D):
+    # a + b*xi = D + 2 + xi is totally positive for every allowlisted D
+    if D in SUPPORTED_D:
+        assert validate(D, D + 2, 1).D == D
+    else:
+        with pytest.raises(UnsupportedD, match=re.escape(f"D={D} ")):
+            validate(D, D + 2, 1)
+
+
+def test_allowlist_is_squarefree_and_not_zero_mod_4():
+    # validate tests D only by membership, so the allowlist must carry these facts
+    for D in SUPPORTED_D:
+        assert D >= 2 and D % 4 != 0
+        assert all(D % (q * q) for q in range(2, math.isqrt(D) + 1))
 
 
 def test_case1_total_positivity():
