@@ -17,7 +17,7 @@ scope, so both orders are exposed.
 
 The coefficients are the plain tuple (1, t3, t2, t3*p, p^2), so the Weil
 symmetry holds by construction and N = sum(coeffs).  The closed form is
-checked against the multiplication-matrix oracle on demand.
+checked against the multiplication-matrix oracle on every call.
 """
 
 from __future__ import annotations
@@ -35,21 +35,20 @@ def closed_form_char_poly(
     return (1, t3, 2 * p + 4 * radicand_norm(field.D, c1, c2), t3 * p, p * p)
 
 
-def char_poly(cert, check_oracle: bool = False) -> tuple[int, int, int, int, int]:
-    """Coefficients (1, t3, t2, t1, t0) for a certificate, optionally matrix-verified.
+def char_poly(cert) -> tuple[int, int, int, int, int]:
+    """Coefficients (1, t3, t2, t1, t0) for a certificate, matrix-verified.
 
-    With check_oracle the closed form is compared against the exact
-    characteristic polynomial of the multiplication matrix and N = P(1)
-    against the determinant of multiplication by 1 - omega; OracleMismatch
-    on any difference.
+    The closed form is compared against the exact characteristic
+    polynomial of the multiplication matrix and N = P(1) against the
+    determinant of multiplication by 1 - omega; OracleMismatch on any
+    difference.
     """
     coeffs = closed_form_char_poly(cert.field, cert.c, cert.p)
-    if check_oracle:
-        oracle = char_poly_oracle(cert.c, cert.field)
-        if list(coeffs) != oracle:
-            raise OracleMismatch(f"closed form {coeffs} != matrix oracle {oracle}")
-        if sum(coeffs) != group_order_oracle(cert.field, cert.c):
-            raise OracleMismatch("P(1) disagrees with det(mult by 1 - omega)")
+    oracle = char_poly_oracle(cert.c, cert.field)
+    if list(coeffs) != oracle:
+        raise OracleMismatch(f"closed form {coeffs} != matrix oracle {oracle}")
+    if sum(coeffs) != group_order_oracle(cert.field, cert.c):
+        raise OracleMismatch("P(1) disagrees with det(mult by 1 - omega)")
     return coeffs
 
 

@@ -52,7 +52,7 @@ def test_criterion_1_example1_golden():
     assert cert.p == 15314033922152826237436247359259334919
     assert cert.gcd34 == 1
 
-    coeffs = char_poly(cert, check_oracle=True)
+    coeffs = char_poly(cert)
     # the published 75-digit order is the order of the quadratic twist of
     # this element (the negated element, same prime); pinned as such
     assert twist_order(coeffs) == ex.published_order
@@ -95,7 +95,7 @@ def test_criterion_2_example2_golden():
     # of the recorded element (no element of norm p yields it; see the
     # decisions ledger).  The inconsistency is pinned and the published
     # order is consumed as published data for the structure stages.
-    coeffs = char_poly(cert, check_oracle=True)
+    coeffs = char_poly(cert)
     assert sum(coeffs) != ex.published_order
     assert twist_order(coeffs) != ex.published_order
 
@@ -158,7 +158,7 @@ def test_criterion_4_generation_soundness():
         assert is_probable_prime(cert.p)
         assert abs(cert.p.bit_length() - bits) <= 2
         assert odd_part(cert.gcd34) == 1
-        assert hasse_weil_check(sum(char_poly(cert, check_oracle=True)), cert.p)
+        assert hasse_weil_check(sum(char_poly(cert)), cert.p)
         good += 1
     elapsed = time.monotonic() - start
     assert good == 200
@@ -170,7 +170,7 @@ def test_criterion_4_generation_soundness():
 def test_criterion_5_toy_pipeline():
     cert = make_certificate(F2, (7, -1, 2, 1))
     assert cert.p == 71
-    coeffs = char_poly(cert, check_oracle=True)
+    coeffs = char_poly(cert)
     assert list(coeffs) == [1, -28, 330, -1988, 5041]
     assert sum(coeffs) == 3356
 

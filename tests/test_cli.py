@@ -118,7 +118,8 @@ def test_missing_config_is_input_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv", [[], ["gen"], ["gen", "CFG", "--bits", "abc"], ["bogus"], ["oracle", "--pmax", "x"]]
+    "argv", [[], ["gen"], ["gen", "CFG", "--bits", "abc"], ["bogus"], ["oracle", "--pmax", "x"],
+             ["verify", "--self-test-corrupt"]]
 )
 def test_usage_error_is_input_error(capsys, field2_cfg, argv):
     argv = [field2_cfg if a == "CFG" else a for a in argv]
@@ -299,6 +300,53 @@ def test_analyze_twist_matches_golden_example_1(capsys, field2_cfg):
     assert report["guaranteed_cyclic"] == str(N // 14)
 
 
+def test_analyze_json_report_of_golden_example_1_twist(capsys, field2_cfg):
+    # every key of the report, so that a change to the pipeline that moves
+    # any printed value, or adds or drops a key, shows here
+    omega = ",".join(str(x) for x in golden.EXAMPLE_1.omega_xi)
+    rc, report = run_json(capsys, ["analyze", field2_cfg, f"--omega={omega}", "--twist", "--json"])
+    assert rc == 0
+    N = "234519634968847474692278544362349582158321382804023011720188699330496198748"
+    assert report == {
+        "N": N,
+        "N_factors": {"factors": [
+            ["2", "2"], ["7", "3"], ["17", "1"], ["23", "1"], ["4993", "1"],
+            ["87556173808919520163329861675989739433243040373597074857097140343", "1"]]},
+        "admissible_odd_primes": [],
+        "candidates": [
+            ["1", "1", "1", N],
+            ["1", "1", "2",
+             "117259817484423737346139272181174791079160691402011505860094349665248099374"],
+            ["1", "1", "7",
+             "33502804995549639241754077766049940308331626114860430245741242761499456964"],
+            ["1", "1", "14",
+             "16751402497774819620877038883024970154165813057430215122870621380749728482"]],
+        "excluded_odd_primes": {"7": ["7 exceeds the bound Q = 2"]},
+        "field": {"D": "2", "Q": "2", "a": "2", "b": "1", "case": "2,3 mod 4",
+                  "input_a": "2", "input_b": "1", "input_basis": "xi", "primitive": True},
+        "frobenius_coeffs": [
+            "1",
+            "15653259812398349572",
+            "91884203532916955984169665545896807946",
+            "239714551759339910323163040351058372886278061529988304668",
+            "234519634968847474452563992603009671743274138920047682834087712442212736561"],
+        "gcd_c3_c4": "1",
+        "guaranteed_cyclic":
+            "16751402497774819620877038883024970154165813057430215122870621380749728482",
+        "hasse_weil_ok": True,
+        "omega_input": ["3913314953099587393", "-31", "4483312578", "6978049007"],
+        "omega_input_basis": "xi",
+        "omega_xi": ["-3913314953099587393", "31", "-4483312578", "-6978049007"],
+        "p": "15314033922152826237436247359259334919",
+        "p_bits": "124",
+        "p_minus_1": {"factors": [["2", "1"], ["3", "1"], ["7", "1"], ["353", "1"],
+                                  ["1032917437080320129329303072929943", "1"]]},
+        "twist_order":
+            "234519634968847474212849440843669761511995302101906265916326056645722890268",
+        "warnings": ["analyzing the quadratic twist (negated omega)"],
+    }
+
+
 @pytest.mark.parametrize("cfg, ex, view", [
     # the rest after trial division is prime and listed as a factor
     ("field2_cfg", golden.EXAMPLE_1,
@@ -324,6 +372,39 @@ def test_cli_import_leaves_cantor_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def _run_module(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(cantor.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "cmgenus2.cli", *args], env=env,
+                          capture_output=True, text=True)
+
+
+def test_module_entry_point_verifies():
+    done = _run_module("verify")
+    assert done.returncode == 0
+    assert done.stdout.endswith("2/2 examples verified\n")
+
+
+def test_module_entry_point_reports_a_missing_config(tmp_path):
+    done = _run_module("validate", str(tmp_path / "missing.cfg"))
+    assert done.returncode == 1
+    assert done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in done.stderr
+
+
+def _assert_oracle_mismatch_ends_in_one_error(capsys, field2_cfg):
+    # analyze checks the closed form on every run; the old flag changes nothing
+    analyze = ["analyze", field2_cfg, "--omega", "7,-1,2,1"]
+    for argv in (analyze, analyze + ["--check-oracle"], ["verify"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "Traceback" not in captured.err
+
+
 def test_oracle_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
     real = frobenius.char_poly_oracle
 
@@ -333,13 +414,13 @@ def test_oracle_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
         return coeffs
 
     monkeypatch.setattr(frobenius, "char_poly_oracle", perturbed)
-    for argv in (["analyze", field2_cfg, "--omega", "7,-1,2,1", "--check-oracle"], ["verify"]):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
-        assert "Traceback" not in captured.err
+    _assert_oracle_mismatch_ends_in_one_error(capsys, field2_cfg)
+
+
+def test_group_order_oracle_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
+    real = frobenius.group_order_oracle
+    monkeypatch.setattr(frobenius, "group_order_oracle", lambda field, c: real(field, c) + 1)
+    _assert_oracle_mismatch_ends_in_one_error(capsys, field2_cfg)
 
 
 def _negated_explicit(monkeypatch):
@@ -485,11 +566,24 @@ def test_verify_json(capsys):
     assert all(c["ok"] for c in report["checks"])
 
 
-def test_verify_corrupt_negative_control(capsys):
-    rc = main(["verify", "--self-test-corrupt"])
+def test_verify_corrupt_negative_control(capsys, monkeypatch):
+    # one wrong printed coordinate must turn verify into a mismatch
+    ex = golden.EXAMPLE_1
+    printed = (ex.omega_printed[0], ex.omega_printed[1] + 1, *ex.omega_printed[2:])
+    monkeypatch.setattr(golden, "EXAMPLES",
+                        (dataclasses.replace(ex, omega_printed=printed), golden.EXAMPLE_2))
+    rc = main(["verify"])
     out = capsys.readouterr().out
     assert rc == 2
-    assert "MISMATCH" in out
+    assert "[MISMATCH] example-1: basis conversion" in out
+    assert "1/2 examples verified" in out
+
+
+def test_analyze_help_hides_the_old_oracle_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    out = capsys.readouterr().out
+    assert "--twist" in out and "--check-oracle" not in out
 
 
 def test_verify_reports_a_wrong_recorded_factorization(capsys, monkeypatch):
