@@ -67,10 +67,8 @@ def is_probable_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
 
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = valuation(n - 1, 2)
+    d = (n - 1) >> s
 
     def witness_passes(a: int) -> bool:
         x = pow(a, d, n)

@@ -34,7 +34,7 @@ import random
 from dataclasses import dataclass
 
 from .cmfield import ValidatedField
-from .integerkit import divisors, is_probable_prime, trial_division
+from .integerkit import divisors, is_probable_prime, trial_division, valuation
 from .quartic import OracleMismatch, eta_part_norm, norm_residual
 
 
@@ -69,10 +69,7 @@ class OmegaCertificate:
 
 
 def odd_part(n: int) -> int:
-    n = abs(n)
-    while n and n % 2 == 0:
-        n //= 2
-    return n
+    return abs(n) >> valuation(n, 2) if n else 0
 
 
 def make_certificate(field: ValidatedField, c: tuple[int, int, int, int]) -> OmegaCertificate:

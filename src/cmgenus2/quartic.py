@@ -13,6 +13,8 @@ and complex conjugation sends eta to -eta.
 For omega = A + B*eta with A, B in O_K0, omega * conj(omega) is
 A^2 + B^2*(a + b*xi); ``eta_part_norm`` is the one place that spells out
 the second term, and ``norm_residual`` and the prime search read it.
+Likewise ``det4`` is the one determinant expansion, read by
+``char_poly_oracle`` and by ``frobenius.group_order_oracle``.
 """
 
 from __future__ import annotations
@@ -100,30 +102,18 @@ def det4(m: list[list[int]]) -> int:
 def char_poly_oracle(u: tuple[int, int, int, int], field: ValidatedField) -> list[int]:
     """Characteristic polynomial of mult_matrix(u), exactly.
 
-    Returns the five coefficients [1, t3, t2, t1, t0] of the monic quartic
-    det(X*I - M), computed by expanding the determinant over all 24
-    permutations with degree-1 integer polynomial entries.  Slow and
-    obviously correct: this is the ground truth the closed forms are
-    checked against.
+    Returns [1, t3, t2, t1, t0] for P(X) = det(X*I - M), the ground truth
+    the closed forms are checked against: t3 = -trace(M), t0 = P(0), and
+    the halves of P(1) +- P(-1) are 1 + t2 + t0 and t3 + t1 (both exact).
     """
     m = mult_matrix(u, field)
-    # entry (i, j) of X*I - M as a degree-1 coefficient pair (const, X)
-    entry = [[(-m[i][j], 1 if i == j else 0) for j in range(4)] for i in range(4)]
-    acc = [0] * 5  # acc[k] = coefficient of X^k
-    for perm, sign in _PERMS_4:
-        prod = [sign, 0, 0, 0, 0]
-        for i in range(4):
-            c0, c1 = entry[i][perm[i]]
-            nxt = [0] * 5
-            for k in range(5):
-                if prod[k]:
-                    nxt[k] += prod[k] * c0
-                    if k + 1 < 5:
-                        nxt[k + 1] += prod[k] * c1
-            prod = nxt
-        for k in range(5):
-            acc[k] += prod[k]
-    return [acc[4], acc[3], acc[2], acc[1], acc[0]]
+
+    def p_at(x: int) -> int:
+        return det4([[(x if i == j else 0) - m[i][j] for j in range(4)] for i in range(4)])
+
+    t3 = -sum(m[i][i] for i in range(4))
+    t0, p1, pm1 = p_at(0), p_at(1), p_at(-1)
+    return [1, t3, (p1 + pm1) // 2 - 1 - t0, (p1 - pm1) // 2 - t3, t0]
 
 
 def eta_part_norm(c3: int, c4: int, field: ValidatedField) -> tuple[int, int]:

@@ -226,6 +226,22 @@ def test_norm_residual_is_the_full_ring_product(field, c):
     assert mul(u, conj_complex(u), field) == (p_part, z_part, 0, 0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(ALL_FIELDS), c=wide_coordinates())
+def test_char_poly_oracle_annihilates_its_element(field, c):
+    # Cayley-Hamilton through `mul`, which shares no code with det4:
+    # Horner's rule on the oracle's coefficients must give 0 at omega
+    u = QuarticInt(*c)
+    one, t3, t2, t1, t0 = char_poly_oracle(u, field)
+    m = mult_matrix(u, field)
+    assert (one, t3) == (1, -sum(m[i][i] for i in range(4)))
+    acc = (1, 0, 0, 0)
+    for coeff in (t3, t2, t1, t0):
+        x0, x1, x2, x3 = mul(acc, u, field)
+        acc = (x0 + coeff, x1, x2, x3)
+    assert acc == (0, 0, 0, 0)
+
+
 def test_det_of_norm_form():
     rng = random.Random(13)
     for field in ALL_FIELDS:
