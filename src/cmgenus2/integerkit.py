@@ -4,9 +4,11 @@ Primality is strong-pseudoprime (Miller-Rabin) testing with one rule:
 the first k primes, as bases, decide every n below psi_k, the least
 strong pseudoprime to all of them (OEIS A014233; k = 12 and 13 are
 Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-Math. Comp. 86, 2017).  So answers below psi_13 = 3.3 * 10**24 are exact;
-above it the 13 bases are followed by 24 random rounds seeded from n, so
-the composite error probability is at most 4**(-24).
+Math. Comp. 86, 2017).  So answers below psi_13 = 3.3 * 10**24 are exact.
+Above it 24 rounds follow, their witnesses a fixed function of n: a
+reproducible heuristic, not an error bound for any given n, as composites
+that pass fixed prime bases can be built (Arnault, J. Symbolic Comput. 20,
+1995).  ROADMAP.md item 16 replaces those rounds with BPSW.
 
 Factoring is trial division over a table of small primes followed by
 Pollard rho with Brent cycle detection, up to ``TRIAL_LIMIT`` and for
@@ -56,10 +58,9 @@ def is_probable_prime(n: int) -> bool:
     """Strong-pseudoprime test.
 
     The first k primes decide n < psi_k (OEIS A014233), so the answer is
-    exact below ``DETERMINISTIC_LIMIT`` = psi_13 = 3.317e24; above it, the
-    13 bases plus 24 random witnesses, for a composite escape probability
-    <= 4**(-24).  The random witnesses come from a generator seeded from
-    n, so results are reproducible.
+    exact below ``DETERMINISTIC_LIMIT`` = psi_13 = 3.317e24.  Above it, 24
+    witnesses seeded from n follow the 13 bases: a reproducible heuristic,
+    not an error bound for a given n (see the module docstring).
     """
     if n < 2:
         return False

@@ -190,7 +190,7 @@ def test_gen_solver_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
 
 def test_analyze_toy(capsys, field2_cfg):
     rc, report = run_json(
-        capsys, ["analyze", field2_cfg, "--omega", "7,-1,2,1", "--check-oracle", "--json"]
+        capsys, ["analyze", field2_cfg, "--omega", "7,-1,2,1", "--json"]
     )
     assert rc == 0
     assert report["p"] == "71"
@@ -203,7 +203,7 @@ def test_analyze_toy(capsys, field2_cfg):
 def test_analyze_combinatorial_blowup_exit_code(monkeypatch, capsys, field2_cfg):
     # the toy omega has 2 candidate structures, more than a cap of 1
     monkeypatch.setattr(structure, "MAX_STRUCTURES", 1)
-    assert main(["analyze", field2_cfg, "--omega", "7,-1,2,1", "--check-oracle", "--json"]) == 2
+    assert main(["analyze", field2_cfg, "--omega", "7,-1,2,1", "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
@@ -233,7 +233,7 @@ def test_analyze_sqrtd_omega(capsys, field5_cfg):
     rc, report = run_json(
         capsys,
         ["analyze", field5_cfg, "--omega=-7,4,3,1",
-         "--omega-basis", "sqrtD", "--check-oracle", "--json"],
+         "--omega-basis", "sqrtD", "--json"],
     )
     assert rc == 0
     assert report["p"] == "257"
@@ -278,7 +278,7 @@ def test_gen_feeds_analyze(capsys, field2_cfg):
     assert rc == 0
     omega = ",".join(gen_report["omega_xi"])
     rc, analysis = run_json(
-        capsys, ["analyze", field2_cfg, f"--omega={omega}", "--check-oracle", "--json"]
+        capsys, ["analyze", field2_cfg, f"--omega={omega}", "--json"]
     )
     assert rc == 0
     assert analysis["p"] == gen_report["p"]
@@ -360,7 +360,7 @@ def test_analyze_json_report_of_golden_example_1_twist(capsys, field2_cfg):
 def test_analyze_p_minus_1_by_trial_division(request, capsys, cfg, ex, view):
     omega = ",".join(str(x) for x in ex.omega_xi)
     rc, report = run_json(capsys, ["analyze", request.getfixturevalue(cfg),
-                                   f"--omega={omega}", "--twist", "--check-oracle", "--json"])
+                                   f"--omega={omega}", "--twist", "--json"])
     assert rc == 0
     assert report["p_minus_1"] == view
 
@@ -406,21 +406,35 @@ def _assert_oracle_mismatch_ends_in_one_error(capsys, field2_cfg):
 
 
 def test_oracle_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
+    # a change to any one of t3, t2, t1, t0 also moves P(1), so the one list
+    # comparison is what checks the group order
     real = frobenius.char_poly_oracle
+    for i in range(1, 5):
+        def perturbed(u, field, i=i):
+            coeffs = real(u, field)
+            coeffs[i] += 1
+            return coeffs
 
-    def perturbed(u, field):
-        coeffs = real(u, field)
-        coeffs[2] += 1
-        return coeffs
-
-    monkeypatch.setattr(frobenius, "char_poly_oracle", perturbed)
-    _assert_oracle_mismatch_ends_in_one_error(capsys, field2_cfg)
+        monkeypatch.setattr(frobenius, "char_poly_oracle", perturbed)
+        _assert_oracle_mismatch_ends_in_one_error(capsys, field2_cfg)
 
 
-def test_group_order_oracle_mismatch_exit_code(monkeypatch, capsys, field2_cfg):
-    real = frobenius.group_order_oracle
-    monkeypatch.setattr(frobenius, "group_order_oracle", lambda field, c: real(field, c) + 1)
-    _assert_oracle_mismatch_ends_in_one_error(capsys, field2_cfg)
+def test_analyze_and_verify_do_not_call_group_order_oracle(monkeypatch, capsys, field2_cfg):
+    # the det(1 - omega) order is the tests' reference only; the oracle's
+    # list already holds P(1) = det(I - M)
+    argvs = (["analyze", field2_cfg, "--omega", "7,-1,2,1", "--json"], ["verify"])
+    expected = []
+    for argv in argvs:
+        assert main(argv) == 0
+        expected.append(capsys.readouterr().out)
+
+    def unreachable(field, c):
+        raise RuntimeError("group_order_oracle called")
+
+    monkeypatch.setattr(frobenius, "group_order_oracle", unreachable)
+    for argv, out in zip(argvs, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def _negated_explicit(monkeypatch):
