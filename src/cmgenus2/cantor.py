@@ -33,14 +33,15 @@ Comp. 48, 1987), which stays the reference the tests compare the closed
 forms against.
 
 Groups are small enough (order below ~6200 at p = 61) to enumerate
-outright; the invariant factors are recovered by counting, for each
-prime q with q^2 | N, the sizes of the iterated images of multiplication
-by q (a q dividing N once gives Z/q).  Only the Sylow q-subgroup
-S_q = [N/q^v]J (v = v_q(N)) moves those sizes, since [q] is bijective
-on every other Sylow subgroup, so the maps run on S_q alone, built by
-closure from the multiples [N/q^v]P.  Each map over S_q takes its
-doublings from one table, so only its additions compose, and only for
-one class of each pair P, -P.
+outright, and every map runs on the enumeration's own indices.  One loop
+over the primes q of N recovers the invariant factors: for q^2 | N it
+counts the sizes of the iterated images of multiplication by q, and a q
+dividing N once gives Z/q.  Only the Sylow q-subgroup S_q = [N/q^v]J
+(v = v_q(N)) moves those sizes, since [q] is bijective on every other
+Sylow subgroup, so the maps run on the indices of S_q alone: built by
+closure from the multiples [N/q^v]P, or all of them when N = q^v.  Each
+map over S_q takes its doublings from one table, so only its additions
+compose, and only for one class of each pair P, -P.
 """
 
 from __future__ import annotations
@@ -470,12 +471,12 @@ def all_divisors(curve: GenusTwoCurve) -> list[MumfordDivisor]:
     return out
 
 
-def _symmetric_map(neg: list[int], image) -> list[int]:
-    """image(i) for every index i, computed once per pair i, neg[i]:
+def _symmetric_map(neg: dict[int, int], image) -> dict[int, int]:
+    """image(i) for every key i of neg, computed once per pair i, neg[i]:
     the map commutes with negation."""
-    out = [-1] * len(neg)
-    for i, n in enumerate(neg):
-        if out[i] < 0:
+    out: dict[int, int] = {}
+    for i, n in neg.items():
+        if i not in out:
             k = image(i)
             out[n], out[i] = neg[k], k  # in this order, so n = i keeps k
     return out
@@ -498,29 +499,19 @@ class _Index(dict):
         raise RuntimeError(f"{d} is not an enumerated divisor")
 
 
-class _SylowIndex(dict):
-    """Element -> index in S_q; a sum that leaves S_q is a Cantor fault,
-    reported as the enumeration reports it when it is off the curve."""
-
-    def __init__(self, group: list[MumfordDivisor], enumeration: _Index, q: int):
-        super().__init__((d, i) for i, d in enumerate(group))
-        self.enumeration, self.q = enumeration, q
-
-    def __missing__(self, d: MumfordDivisor) -> int:
-        self.enumeration[d]  # a class off the curve fails here first
-        raise RuntimeError(f"{d} is not in the Sylow {self.q}-subgroup")
-
-
 def _sylow_subgroup(N: int, q: int, order: int, add) -> list[int]:
     """Indices of S_q = [m]J, m = N/order, order = q^v, starting at the
-    identity 0; add(a, b) is the index of the sum.
+    identity 0; add(a, b) is the index of the sum.  When order = N,
+    S_q is J, and every index is returned with nothing composed.
 
-    H starts as {0}.  For P in enumeration order, R = [m]P outside H
-    grows H to H + <R>, the cosets jR + H for j < k, kR the first
-    multiple back in H.  The loops are bounded by q^v: H + <R> may not
-    exceed it, its cosets may not overlap, and an H that ends below it
-    is a fault too.
+    Otherwise H starts as {0}.  For P in enumeration order, R = [m]P
+    outside H grows H to H + <R>, the cosets jR + H for j < k, kR the
+    first multiple back in H.  The loops are bounded by q^v: H + <R> may
+    not exceed it, its cosets may not overlap, and an H that ends below
+    it is a fault too.
     """
+    if order == N:
+        return list(range(N))
     members, seen = [0], {0}
     for i in range(1, N):
         if len(members) == order:
@@ -549,88 +540,87 @@ def _sylow_subgroup(N: int, q: int, order: int, add) -> list[int]:
     return members
 
 
-def _image_counts(group: list[MumfordDivisor], index: dict, q: int,
-                  curve: GenusTwoCurve) -> list[int]:
+def _image_counts(members: list[int], elements: list[MumfordDivisor], index: _Index,
+                  q: int, curve: GenusTwoCurve) -> list[int]:
     """counts[j-1] = log_q(T_j / T_{j-1}), the number of invariant factors
-    of the q-group ``group`` (identity first) divisible by q^j.
+    of the q-group S_q, the enumeration indices ``members`` (identity
+    first), divisible by q^j.
 
-    Multiplication by q runs as a binary ladder over element indices:
-    doublings are lookups in one table of 2*e, so only the additions
-    compose.  The table and the ladder compose for one element of each
-    pair P, -P and take the other from [k](-P) = -[k]P; -(u, v) is
-    (u, -v), an index lookup.  2P = 0 exactly when P = -P, which checks
-    the table against the negation.
+    Every table is keyed by enumeration index, and every sum and
+    negation is checked to stay in S_q (a class off the curve fails the
+    enumeration lookup first).  Multiplication by q runs as a binary
+    ladder: doublings are lookups in one table of 2*e, so only the
+    additions compose.  The table and the ladder compose for one element
+    of each pair P, -P and take the other from [k](-P) = -[k]P; -(u, v)
+    is (u, -v), an index lookup.  2P = 0 exactly when P = -P, which
+    checks the table against the negation.  The counts of a q-group never
+    grow with j.
     """
-    def add(a: int, b: int) -> int:
-        return index[compose(group[a], group[b], curve)]
+    sylow = set(members)
 
-    neg = [index[negate(d, curve)] for d in group]
+    def member(d: MumfordDivisor) -> int:
+        i = index[d]
+        if i not in sylow:
+            raise RuntimeError(f"{d} is not in the Sylow {q}-subgroup")
+        return i
+
+    def add(a: int, b: int) -> int:
+        return member(compose(elements[a], elements[b], curve))
+
+    neg = {i: member(negate(elements[i], curve)) for i in members}
     dbl = _symmetric_map(neg, lambda i: add(i, i))
-    for i, n in enumerate(neg):
+    for i, n in neg.items():
         if (dbl[i] == 0) != (n == i):
-            raise RuntimeError(f"2P = 0 disagrees with P = -P at {group[i]}")
+            raise RuntimeError(f"2P = 0 disagrees with P = -P at {elements[i]}")
     phi = _symmetric_map(neg, lambda i: _ladder(q, i, dbl.__getitem__, add))
-    image = list(range(len(group)))
-    sizes = [len(image)]
-    while True:
-        image = list({phi[i] for i in image})
-        if len(image) == sizes[-1]:
-            break
-        sizes.append(len(image))
-    counts = []
-    for j in range(1, len(sizes)):
-        ratio, rem = divmod(sizes[j - 1], sizes[j])
+    counts: list[int] = []
+    image = sylow
+    while len(nxt := {phi[i] for i in image}) < len(image):
+        ratio, rem = divmod(len(image), len(nxt))
         r = valuation(ratio, q)
         if rem or q ** r != ratio:
             raise RuntimeError(f"image size ratio is not a power of {q}")
+        if counts and r > counts[-1]:
+            raise RuntimeError(f"image size ratios of multiplication by {q} grow")
         counts.append(r)
+        image = nxt
     return counts
 
 
 def enumerate_jacobian(curve: GenusTwoCurve) -> tuple[int, list[int]]:
     """Group order and invariant factors d1 | d2 | ... by exhaustion.
 
-    The factor chain is recovered per prime q from the sizes of the
-    iterated images of multiplication by q: with T_j the number of
-    elements killed by q^j, the count of factors divisible by q^j is
-    log_q(T_j / T_{j-1}).
-
-    A prime q with v = v_q(N) = 1 needs no map: the Sylow q-subgroup has
-    order q, and a group of prime order is cyclic, so the chain is [1].
-    For the others the maps run on S_q = [N/q^v]J alone, the whole
-    enumeration when N = q^v: [N/q^v] maps J onto S_q and [q] is
-    bijective on every other Sylow subgroup, so the image-size ratios
-    are those over J.  Every composed class, ladder steps of [N/q^v]P
-    included, is looked up in the enumeration.
+    One loop over the primes q of N, with v = v_q(N), builds the factor
+    chain from the counts c_1 >= c_2 >= ... of invariant factors
+    divisible by q, q^2, ...: each c_j multiplies the c_j largest
+    factors by q once more.  A prime with v = 1 needs no map: the Sylow
+    q-subgroup has order q, and a group of prime order is cyclic, so its
+    counts are [1].  For the others the counts are read, with T_j the
+    number of elements killed by q^j, as log_q(T_j / T_{j-1}) from the
+    sizes of the iterated images of multiplication by q.  The maps run
+    on S_q = [N/q^v]J alone, as indices into the enumeration (all of
+    them when N = q^v): [N/q^v] maps J onto S_q and [q] is bijective on
+    every other Sylow subgroup, so the image-size ratios are those over
+    J.  Every composed class, ladder steps of [N/q^v]P included, is
+    looked up in the enumeration.
     """
     elements = all_divisors(curve)
     N = len(elements)
     index = _Index((d, i) for i, d in enumerate(elements))
     if len(index) != N:
         raise RuntimeError("divisor enumeration produced duplicates")
-    prime_powers, _ = factorize(N)
 
     def add(a: int, b: int) -> int:
         return index[compose(elements[a], elements[b], curve)]
 
-    exponents_by_prime: dict[int, list[int]] = {}
-    for q, v in prime_powers:
-        if v == 1:
-            exponents_by_prime[q] = [1]
-            continue
-        if q ** v == N:
-            counts = _image_counts(elements, index, q, curve)
-        else:
-            group = [elements[g] for g in _sylow_subgroup(N, q, q ** v, add)]
-            counts = _image_counts(group, _SylowIndex(group, index, q), q, curve)
-        if counts:
-            exponents_by_prime[q] = [
-                sum(1 for c in counts if c >= i) for i in range(1, counts[0] + 1)
-            ]
-
-    k = max((len(e) for e in exponents_by_prime.values()), default=0)
-    factors = sorted(math.prod(q ** exps[i] for q, exps in exponents_by_prime.items()
-                               if i < len(exps)) for i in range(k))
+    factors: list[int] = []  # largest first
+    for q, v in factorize(N)[0]:
+        counts = [1] if v == 1 else _image_counts(
+            _sylow_subgroup(N, q, q ** v, add), elements, index, q, curve)
+        for c in counts:
+            factors += [1] * (c - len(factors))
+            factors[:c] = [n * q for n in factors[:c]]
+    factors.reverse()
     prod = math.prod(factors)
     if prod != N:
         raise RuntimeError(f"invariant factors multiply to {prod}, not {N}")

@@ -440,9 +440,10 @@ def test_three_invariant_factors_frozen():
     ids=["proper-non-cyclic", "q-group"])
 def test_sylow_maps_match_torsion_counts(seed, order, factors, sylow):
     # at p = 11 (seed 10) S_2 = Z/2 x Z/2 x Z/4 is built by closure inside
-    # N = 112; at p = 5 (seed 8) J = Z/4 x Z/4 is its own S_2.  The maps
-    # run on S_2 alone, so the factors are checked against torsion counts
-    # over all of J, from scalar_mul, and S_2 against the 16-torsion
+    # N = 112; at p = 5 (seed 8) J = Z/4 x Z/4 is its own S_2, every index
+    # with nothing composed.  The maps run on S_2 alone, so the factors are
+    # checked against torsion counts over all of J, from scalar_mul, and
+    # S_2 against the 16-torsion
     curve = random_curve(random.Random(seed), pmax=11)
     assert enumerate_jacobian(curve) == (order, factors)
     ds = all_divisors(curve)
@@ -450,11 +451,48 @@ def test_sylow_maps_match_torsion_counts(seed, order, factors, sylow):
         count = sum(1 for x in ds if scalar_mul(d, x, curve) == IDENTITY)
         assert count == math.prod(math.gcd(d, fac) for fac in factors), d
     index = {d: i for i, d in enumerate(ds)}
-    members = cantor._sylow_subgroup(len(ds), 2, sylow,
-                                     lambda a, b: index[compose(ds[a], ds[b], curve)])
+    calls = []
+
+    def add(a, b):
+        calls.append((a, b))
+        return index[compose(ds[a], ds[b], curve)]
+
+    members = cantor._sylow_subgroup(len(ds), 2, sylow, add)
+    assert (len(calls) == 0) == (sylow == order)
     assert members[0] == 0 and len(set(members)) == sylow
     assert sorted(members) == [i for i, x in enumerate(ds)
                                if scalar_mul(sylow, x, curve) == IDENTITY]
+
+
+def test_image_counts_rejects_a_sum_outside_the_sylow_subgroup(monkeypatch):
+    # at pmax 11, seed 0 draws N = 40 = 2^3 * 5; a doubling of S_2 that
+    # lands on a class of order 5 is on the curve but not in S_2
+    curve = random_curve(random.Random(0), pmax=11)
+    elements = all_divisors(curve)
+    index = cantor._Index((d, i) for i, d in enumerate(elements))
+    members = cantor._sylow_subgroup(
+        40, 2, 8, lambda a, b: index[compose(elements[a], elements[b], curve)])
+    order_five = MumfordDivisor((3, 5, 1), (2, 1))
+    assert order_five in index and index[order_five] not in members
+    real = cantor.compose
+    monkeypatch.setattr(cantor, "compose",
+                        lambda d1, d2, c: order_five if d1 == d2 else real(d1, d2, c))
+    with pytest.raises(RuntimeError) as err:
+        cantor._image_counts(members, elements, index, 2, curve)
+    assert str(err.value) == f"{order_five} is not in the Sylow 2-subgroup"
+
+
+def test_image_counts_rejects_growing_ratios(monkeypatch):
+    # a doubling map on 16 stand-in classes whose iterated images have
+    # 16, 8, 2, 1 elements: every ratio is a power of 2, but the counts
+    # [1, 2, 1] grow, which no 2-group allows.  -P swaps 2k and 2k + 1
+    # above 1, so 2P = 0 exactly at the fixed points 0 and 1
+    double = [0, 0, 1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7, 2, 3]
+    monkeypatch.setattr(cantor, "negate", lambda d, curve: d ^ 1 if d > 1 else d)
+    monkeypatch.setattr(cantor, "compose", lambda d1, d2, curve: double[d1])
+    index = cantor._Index((i, i) for i in range(16))
+    with pytest.raises(RuntimeError, match=r"^image size ratios of multiplication by 2 grow$"):
+        cantor._image_counts(list(range(16)), list(range(16)), index, 2, None)
 
 
 def test_mumford_fast_constructor_keeps_the_named_tuple():
