@@ -4,11 +4,13 @@ Primality is strong-pseudoprime (Miller-Rabin) testing with one rule:
 the first k primes, as bases, decide every n below psi_k, the least
 strong pseudoprime to all of them (OEIS A014233; k = 12 and 13 are
 Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-Math. Comp. 86, 2017).  So answers below psi_13 = 3.3 * 10**24 are exact.
-Above it 24 rounds follow, their witnesses a fixed function of n: a
-reproducible heuristic, not an error bound for any given n, as composites
-that pass fixed prime bases can be built (Arnault, J. Symbolic Comput. 20,
-1995).  ROADMAP.md item 16 replaces those rounds with BPSW.
+Math. Comp. 86, 2017).  So answers below psi_13 = 3.3 * 10**24 are proofs.
+Fixed bases alone can be fooled above it (Arnault, J. Symbolic Comput. 20,
+1995), so there a strong Lucas test with Selfridge's parameters follows
+the 13 bases.  Base 2 and that Lucas test are the Baillie-PSW test, which
+has no known counterexample (Baillie and Wagstaff, "Lucas pseudoprimes",
+Math. Comp. 35, 1980; Pomerance, Selfridge and Wagstaff, "The
+pseudoprimes to 25 * 10**9", Math. Comp. 35, 1980).
 
 Factoring is trial division over a table of small primes followed by
 Pollard rho with Brent cycle detection, up to ``TRIAL_LIMIT`` and for
@@ -43,8 +45,6 @@ _PSI = (
 
 DETERMINISTIC_LIMIT = _PSI[-1]
 
-_RANDOM_ROUNDS = 24
-
 # the factoring budget of ``factorize``, read at call time
 TRIAL_LIMIT = 10**6
 RHO_ITERS = 2_000_000
@@ -55,12 +55,12 @@ _BLOCK = 256
 
 
 def is_probable_prime(n: int) -> bool:
-    """Strong-pseudoprime test.
+    """Strong-pseudoprime test, then a strong Lucas test above psi_13.
 
     The first k primes decide n < psi_k (OEIS A014233), so the answer is
-    exact below ``DETERMINISTIC_LIMIT`` = psi_13 = 3.317e24.  Above it, 24
-    witnesses seeded from n follow the 13 bases: a reproducible heuristic,
-    not an error bound for a given n (see the module docstring).
+    a proof below ``DETERMINISTIC_LIMIT`` = psi_13 = 3.317e24.  Above it,
+    n must also pass ``_strong_lucas``: the 13 bases then contain the
+    Baillie-PSW test (see the module docstring).
     """
     if n < 2:
         return False
@@ -86,8 +86,60 @@ def is_probable_prime(n: int) -> bool:
             return False
         if n < psi:
             return True
-    rng = random.Random(n)
-    return all(witness_passes(rng.randrange(2, n - 1)) for _ in range(_RANDOM_ROUNDS))
+    return _strong_lucas(n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1, Selfridge's method A.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4; with n + 1 = d * 2**s, d odd, n passes when U_d = 0 or
+    V_(d * 2**r) = 0 (mod n) for some 0 <= r < s.  Every odd prime passes.
+    A square has no such D, so it is rejected before the search.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = -D - 2 if D > 0 else -D + 2
+    if j == 0:  # D and n share a factor
+        return abs(D) == n
+    Q = (1 - D) // 4
+    s = valuation(n + 1, 2)
+    d = (n + 1) >> s
+
+    # U_k, V_k and Q^k along the bits of d, from k = 1
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = u + v, D * u + v
+            u = (u + n if u & 1 else u) // 2 % n
+            v = (v + n if v & 1 else v) // 2 % n
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 def _brent_rho(n: int, rng: random.Random, max_iters: int) -> int:

@@ -5,10 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cmgenus2 import integerkit
+from cmgenus2 import golden, integerkit
 from cmgenus2.integerkit import (
     divisors,
     factorize,
@@ -103,6 +103,100 @@ def test_each_bound_fools_the_first_k_bases(k):
     assert math.prod(PSI_FACTORS[psi]) == psi
     assert all(fools_base(psi, a) for a in integerkit._WITNESSES[:k])
     assert not is_probable_prime(psi)
+
+
+# the strong Lucas pseudoprimes below 20,000 (Selfridge's parameters, OEIS
+# A217255), each with a factor; base 2 rejects every one of them
+STRONG_LUCAS_PSEUDOPRIMES = {5459: 53, 5777: 53, 10877: 73, 16109: 89, 18971: 61}
+
+
+@pytest.mark.parametrize("n, q", STRONG_LUCAS_PSEUDOPRIMES.items())
+def test_strong_lucas_pseudoprimes_pass_the_lucas_test_alone(n, q):
+    assert n % q == 0 and 1 < q < n
+    assert integerkit._strong_lucas(n)
+    assert not fools_base(n, 2)
+    assert not is_probable_prime(n)
+
+
+@pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321])
+def test_base_2_strong_pseudoprimes_fail_the_lucas_test(n):
+    # the five least strong pseudoprimes to base 2 (OEIS A001262)
+    assert fools_base(n, 2) and not sieve(n + 1)[n]
+    assert not integerkit._strong_lucas(n)
+
+
+def test_strong_lucas_agrees_with_sieve_below_twenty_thousand():
+    flags = sieve(20_000)
+    passing = {n for n in range(3, 20_000, 2) if integerkit._strong_lucas(n)}
+    primes = {n for n in range(3, 20_000, 2) if flags[n]}
+    assert passing - primes == set(STRONG_LUCAS_PSEUDOPRIMES)
+    assert primes <= passing
+
+
+@pytest.mark.parametrize("n", [2**61 - 1, 2**89 - 1, 2**127 - 1, 2**521 - 1,
+                               golden._P1, golden._R1])
+def test_large_primes_pass_the_lucas_test(n):
+    # for a Mersenne prime, n + 1 = 2**e, so d = 1 and only the V squarings decide
+    assert integerkit._strong_lucas(n)
+    assert is_probable_prime(n)
+
+
+def test_a_square_above_psi13_is_rejected_before_the_d_search(monkeypatch):
+    # no D has (D/n) = -1 when n is a square, so the search must not start
+    n = (2**61 - 1) ** 2
+    assert n > integerkit.DETERMINISTIC_LIMIT
+
+    def no_search(a: int, m: int) -> int:
+        raise AssertionError("D search ran on a square")
+
+    monkeypatch.setattr(integerkit, "_jacobi", no_search)
+    assert not integerkit._strong_lucas(n)
+    assert not is_probable_prime(n)
+
+
+@st.composite
+def primes_of_45_bits(draw) -> int:
+    """The least prime at or above a random 45-bit odd number; exact, as
+    these lie far below psi_13."""
+    p = draw(st.integers(2**44, 2**45)) | 1
+    while not is_probable_prime(p):
+        p += 2
+    return p
+
+
+@settings(max_examples=50, deadline=None)
+@given(p=primes_of_45_bits(), q=primes_of_45_bits())
+def test_products_of_two_45_bit_primes_fail_the_lucas_test(p, q):
+    assume(p != q)  # squares have their own test above
+    n = p * q
+    assert n > integerkit.DETERMINISTIC_LIMIT
+    assert not integerkit._strong_lucas(n)
+    assert not is_probable_prime(n)
+
+
+def legendre(a: int, q: int) -> int:
+    """(a/q) for an odd prime q, by Euler's criterion."""
+    r = pow(a, (q - 1) // 2, q)
+    return -1 if r == q - 1 else r
+
+
+def test_jacobi_is_the_product_of_legendre_symbols():
+    for n in range(1, 400, 2):
+        factors, _ = factorize(n)
+        for a in range(-50, 100):
+            expected = math.prod(legendre(a, q) ** e for q, e in factors)
+            assert integerkit._jacobi(a, n) == expected, (a, n)
+
+
+def test_primality_draws_no_random_witnesses(monkeypatch):
+    # above psi_13 the test is the 13 bases and a strong Lucas test; only
+    # rho draws from random.Random
+    def no_draws(*args):
+        raise AssertionError("primality drew from random.Random")
+
+    monkeypatch.setattr(random, "Random", no_draws)
+    assert golden._P1 > integerkit.DETERMINISTIC_LIMIT
+    assert is_probable_prime(golden._P1)
 
 
 def test_factorize_splits_the_least_pseudoprime_to_bases_2_to_31(monkeypatch):
